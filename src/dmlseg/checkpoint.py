@@ -9,6 +9,7 @@ multi-label targets.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -46,38 +47,45 @@ def save_container(path: Path, header: str, arrays: dict[str, np.ndarray]) -> No
 
 
 def load_container(path: Path) -> tuple[str, dict[str, np.ndarray]]:
+    """Parse a container; any malformed, truncated or over-long file is a
+    DataError naming the path."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a DMLS container")
-    (version,) = struct.unpack_from("<I", data, 4)
+    pos = 4
+
+    def take(nbytes: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + nbytes > len(data):
+            raise DataError(f"{path}: truncated {what} at byte {pos}")
+        pos += nbytes
+        return data[pos - nbytes:pos]
+
+    def text(nbytes: int, what: str) -> str:
+        try:
+            return take(nbytes, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {what} is not UTF-8: {exc}") from None
+
+    (version,) = struct.unpack("<I", take(4, "version"))
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    pos = 8
-    (hlen,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    header = data[pos:pos + hlen].decode("utf-8")
-    pos += hlen
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    (hlen,) = struct.unpack("<I", take(4, "header length"))
+    header = text(hlen, "header")
+    (count,) = struct.unpack("<I", take(4, "entry count"))
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (tag,) = struct.unpack_from("<B", data, pos)
-        pos += 1
+    for i in range(count):
+        (nlen,) = struct.unpack("<I", take(4, f"entry {i} name length"))
+        name = text(nlen, f"entry {i} name")
+        (tag,) = struct.unpack("<B", take(1, f"entry {name} dtype tag"))
         if tag not in _DTYPE_TAGS:
             raise DataError(f"{path}: unknown dtype tag {tag} for {name}")
-        dims = struct.unpack_from("<4I", data, pos)
-        pos += 16
+        dims = struct.unpack("<4I", take(16, f"entry {name} dims"))
         dt = _DTYPE_TAGS[tag]
-        nbytes = int(np.prod(dims)) * dt.itemsize
-        raw = data[pos:pos + nbytes]
-        if len(raw) != nbytes:
-            raise DataError(f"{path}: truncated entry {name}")
-        pos += nbytes
+        raw = take(math.prod(dims) * dt.itemsize, f"entry {name}")
         arrays[name] = np.frombuffer(raw, dtype=dt).reshape(dims).copy()
+    if pos != len(data):
+        raise DataError(f"{path}: {len(data) - pos} unexpected bytes after the last entry")
     return header, arrays
 
 

@@ -41,15 +41,23 @@ def dilate_window(binary: np.ndarray, window: int, out_stride: int) -> np.ndarra
     if window == 1 and out_stride == 1:
         return binary.copy()
     padded = np.pad(binary, ((0, 0), (half, half), (half, half)))
+    h_out, w_out = h // out_stride, w // out_stride
+    # separable max over the kept cells only: rows, then columns, each a
+    # (window, out) view whose first window starts at `off`
     sk, sh, sw = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(k, h, w, window, window),
-        strides=(sk, sh, sw, sh, sw),
+    rows = np.lib.stride_tricks.as_strided(
+        padded[:, off:, :],
+        shape=(k, h_out, window, w + 2 * half),
+        strides=(sk, sh * out_stride, sh, sw),
         writeable=False,
-    )
-    full = view.max(axis=(3, 4))
-    return np.ascontiguousarray(full[:, off::out_stride, off::out_stride])
+    ).max(axis=2)
+    rk, rh, rw = rows.strides
+    return np.lib.stride_tricks.as_strided(
+        rows[:, :, off:],
+        shape=(k, h_out, window, w_out),
+        strides=(rk, rh, rw, rw * out_stride),
+        writeable=False,
+    ).max(axis=2)
 
 
 def effective_window(window: int, stride: int) -> int:

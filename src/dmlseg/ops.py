@@ -1,8 +1,10 @@
 """Forward/backward implementations of the network's operation set.
 
-Convolution uses a strided window view plus tensordot (im2col without the
-copy); max pooling saves argmax indices so backward can route gradients to
-the winning element, ties to the lowest linear index.
+Convolution copies a strided window view once into contiguous columns
+(im2col) and runs one batched GEMM per pass; backward rebuilds the columns
+for the weight gradient instead of keeping them on the tape.  Max pooling
+saves argmax indices so backward can route gradients to the winning
+element, ties to the lowest linear index.
 """
 
 from __future__ import annotations
@@ -49,15 +51,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
             f"conv2d: effective kernel {eff_h}x{eff_w} exceeds padded input {hp}x{wp}")
     h_out = (hp - eff_h) // stride + 1
     w_out = (wp - eff_w) // stride + 1
+    k = c_in * kh * kw
 
     if padding > 0:
         padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         padded = x.data
-    cols = _window_view(padded, kh, kw, stride, dilation, h_out, w_out)
-    # (N, h_out, w_out, C_out) <- sum over (C_in, kh, kw)
-    out_data = np.tensordot(cols, weight.data, axes=([1, 2, 3], [1, 2, 3]))
-    out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
+
+    def columns() -> np.ndarray:
+        """(N, C_in*kh*kw, h_out*w_out): one contiguous copy of the window
+        view, or a view of the input itself for a 1x1 stride-1 unpadded conv
+        (reshape drops the size-1 kernel axes without copying)."""
+        view = _window_view(padded, kh, kw, stride, dilation, h_out, w_out)
+        return view.reshape(n, k, h_out * w_out)
+
+    w_mat = weight.data.reshape(c_out, k)
+    out_data = np.matmul(w_mat, columns()).reshape(n, c_out, h_out, w_out)
     out_data += bias.data
     if not np.isfinite(out_data).all():
         raise NumericError("conv2d produced non-finite values")
@@ -66,22 +75,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
     out = Tensor(out_data, requires_grad=requires)
 
     def backward_fn(g: np.ndarray) -> None:
+        g_mat = g.reshape(n, c_out, h_out * w_out)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
         if weight.requires_grad:
-            # (C_out, C_in, kh, kw) <- sum over (N, h_out, w_out)
-            gw = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
-            weight.accumulate_grad(gw)
+            # columns are rebuilt here rather than kept on the tape
+            gw = np.matmul(g_mat, columns().transpose(0, 2, 1)).sum(axis=0)
+            weight.accumulate_grad(gw.reshape(weight.shape))
         if x.requires_grad:
             # gradient w.r.t. every window element, then scatter-add back
-            gcols = np.tensordot(g, weight.data, axes=([1], [0]))  # (N, ho, wo, C_in, kh, kw)
+            gcols = np.matmul(w_mat.T, g_mat).reshape(n, c_in, kh, kw, h_out, w_out)
             gpad = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
             for u in range(kh):
                 for v in range(kw):
                     gpad[:, :,
                          u * dilation:u * dilation + stride * h_out:stride,
-                         v * dilation:v * dilation + stride * w_out:stride] += \
-                        gcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+                         v * dilation:v * dilation + stride * w_out:stride] += gcols[:, :, u, v]
             if padding > 0:
                 x.accumulate_grad(gpad[:, :, padding:-padding, padding:-padding])
             else:

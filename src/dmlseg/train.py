@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,17 @@ def prepare_targets(masks, config: ModelConfig):
     return grids, targets
 
 
+@contextmanager
+def _precision(mode: str):
+    """Run a block in one precision mode and restore the caller's after."""
+    prev_mode = tensor.precision()
+    tensor.set_precision(mode)
+    try:
+        yield
+    finally:
+        tensor.set_precision(prev_mode)
+
+
 def _batch_iterator(n: int, batch_size: int, seed: int):
     """Seeded without-replacement epochs, partial tail batches dropped."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -79,66 +91,65 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     """SGD over the joint objective; writes checkpoint.dmls and loss.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tensor.set_precision(train_cfg.precision)
+    with _precision(train_cfg.precision):
+        images, masks = _load_split(corpus, "train")
+        if not images:
+            raise ConfigError("corpus has no training images")
+        if train_cfg.batch_size > len(images):
+            raise ConfigError(f"batch size {train_cfg.batch_size} exceeds "
+                              f"{len(images)} training images")
+        if grids is None or targets is None:
+            grids, targets = prepare_targets(masks, model_cfg)
 
-    images, masks = _load_split(corpus, "train")
-    if not images:
-        raise ConfigError("corpus has no training images")
-    if train_cfg.batch_size > len(images):
-        raise ConfigError(f"batch size {train_cfg.batch_size} exceeds "
-                          f"{len(images)} training images")
-    if grids is None or targets is None:
-        grids, targets = prepare_targets(masks, model_cfg)
+        model = build_model(model_cfg, seed=train_cfg.seed)
+        params = model.parameters()
+        ckpt_path = out / "checkpoint.dmls"
+        csv_path = out / "loss.csv"
+        batches = _batch_iterator(len(images), train_cfg.batch_size, train_cfg.seed)
+        reports: list[LossReport] = []
+        rows = [LossReport.csv_header(model_cfg.levels)]
 
-    model = build_model(model_cfg, seed=train_cfg.seed)
-    params = model.parameters()
-    ckpt_path = out / "checkpoint.dmls"
-    csv_path = out / "loss.csv"
-    batches = _batch_iterator(len(images), train_cfg.batch_size, train_cfg.seed)
-    reports: list[LossReport] = []
-    rows = [LossReport.csv_header(model_cfg.levels)]
+        try:
+            for it in range(train_cfg.iterations):
+                idx = next(batches)
+                x = Tensor(np.stack([images[i] for i in idx]))
+                y_seg = np.stack([grids[i] for i in idx])
+                y_mul = [np.stack([targets[i][j] for i in idx])
+                         for j in range(model_cfg.levels)]
 
-    try:
-        for it in range(train_cfg.iterations):
-            idx = next(batches)
-            x = Tensor(np.stack([images[i] for i in idx]))
-            y_seg = np.stack([grids[i] for i in idx])
-            y_mul = [np.stack([targets[i][j] for i in idx])
-                     for j in range(model_cfg.levels)]
+                try:
+                    with record() as g:
+                        net = forward(model, x)
+                        l_mul = [multilabel_nll(net.m[j], y_mul[j])
+                                 for j in range(model_cfg.levels)]
+                        l_seg = softmax_nll(net.p, y_seg)
+                        total, report = total_objective(
+                            l_seg, l_mul, model_cfg.lam,
+                            valid_pixel_count=int((y_seg != IGNORE).sum()))
+                    if not math.isfinite(report.total):
+                        raise NumericError("non-finite loss")
+                    g.backward(total)
+                except NumericError as exc:
+                    raise NumericError(
+                        f"{exc} at iteration {it}; last good checkpoint "
+                        f"{'retained at ' + str(ckpt_path) if ckpt_path.exists() else 'none'}"
+                    ) from exc
 
-            try:
-                with record() as g:
-                    net = forward(model, x)
-                    l_mul = [multilabel_nll(net.m[j], y_mul[j])
-                             for j in range(model_cfg.levels)]
-                    l_seg = softmax_nll(net.p, y_seg)
-                    total, report = total_objective(
-                        l_seg, l_mul, model_cfg.lam,
-                        valid_pixel_count=int((y_seg != IGNORE).sum()))
-                if not math.isfinite(report.total):
-                    raise NumericError("non-finite loss")
-                g.backward(total)
-            except NumericError as exc:
-                raise NumericError(
-                    f"{exc} at iteration {it}; last good checkpoint "
-                    f"{'retained at ' + str(ckpt_path) if ckpt_path.exists() else 'none'}"
-                ) from exc
+                lr = train_cfg.lr
+                if train_cfg.lr_poly > 0:
+                    lr *= (1.0 - it / train_cfg.iterations) ** train_cfg.lr_poly
+                sgd_step(params, lr, train_cfg.momentum, train_cfg.weight_decay)
 
-            lr = train_cfg.lr
-            if train_cfg.lr_poly > 0:
-                lr *= (1.0 - it / train_cfg.iterations) ** train_cfg.lr_poly
-            sgd_step(params, lr, train_cfg.momentum, train_cfg.weight_decay)
+                reports.append(report)
+                rows.append(report.csv_row(it))
+                if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0:
+                    save_model_checkpoint(ckpt_path, model)
+        finally:
+            csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-            reports.append(report)
-            rows.append(report.csv_row(it))
-            if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0:
-                save_model_checkpoint(ckpt_path, model)
-    finally:
-        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    save_model_checkpoint(ckpt_path, model)
-    return TrainResult(model=model, checkpoint_path=ckpt_path,
-                       loss_csv_path=csv_path, reports=reports)
+        save_model_checkpoint(ckpt_path, model)
+        return TrainResult(model=model, checkpoint_path=ckpt_path,
+                           loss_csv_path=csv_path, reports=reports)
 
 
 def evaluate(model: Model, corpus: Corpus, split: str = "val",
@@ -186,9 +197,7 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
                step: float = 1e-5, seed: int = 0) -> GradCheckReport:
     """Compare every parameter gradient of the full objective against
     central finite differences on one small random batch (64-bit)."""
-    prev_mode = tensor.precision()
-    tensor.set_precision("check64")
-    try:
+    with _precision("check64"):
         model = build_model(model_cfg, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         for p in model.parameters():
@@ -240,8 +249,6 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
         worst = max(per_layer.values())
         return GradCheckReport(per_layer=per_layer, max_rel_err=worst,
                                tolerance=tolerance, passed=worst <= tolerance)
-    finally:
-        tensor.set_precision(prev_mode)
 
 
 EXPERIMENT_HEADER = "levels,mean_iou,mean_wrong_class,mean_wrong_label"

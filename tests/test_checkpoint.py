@@ -52,6 +52,39 @@ def test_unknown_version_rejected(tmp_path):
         load_container(tmp_path / "v.dmls")
 
 
+def _saved_checkpoint(tmp_path):
+    model = build_model(tiny_config(input_size=(16, 16), low_channels=((2, 2), (2, 2)),
+                                    seg_channels=(2, 2), num_classes=3), seed=0)
+    path = tmp_path / "m.dmls"
+    save_model_checkpoint(path, model)
+    return path, path.read_bytes()
+
+
+def test_every_truncated_prefix_is_data_error(tmp_path):
+    path, raw = _saved_checkpoint(tmp_path)
+    cut = tmp_path / "cut.dmls"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(DataError):
+            load_container(cut)
+
+
+def test_non_utf8_header_is_data_error(tmp_path):
+    path, raw = _saved_checkpoint(tmp_path)
+    bad = bytearray(raw)
+    bad[12] = 0xFF  # first byte of the header text
+    path.write_bytes(bytes(bad))
+    with pytest.raises(DataError, match="UTF-8"):
+        load_container(path)
+
+
+def test_trailing_byte_is_data_error(tmp_path):
+    path, raw = _saved_checkpoint(tmp_path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(DataError, match="after the last entry"):
+        load_container(path)
+
+
 def test_model_checkpoint_round_trip(tmp_path):
     model = build_model(tiny_config(), seed=3)
     for p in model.parameters():  # non-trivial optimizer state

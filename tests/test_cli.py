@@ -47,6 +47,16 @@ def test_eval_writes_csv(run_dir, corpus_dir, tmp_path, capsys):
     assert "#Wrong class" in capsys.readouterr().out
 
 
+def test_eval_truncated_checkpoint_exits_2(run_dir, corpus_dir, tmp_path):
+    raw = (run_dir / "checkpoint.dmls").read_bytes()
+    cut = tmp_path / "cut.dmls"
+    for size in (6, len(raw) // 2, len(raw) - 1):
+        cut.write_bytes(raw[:size])
+        code = main(["eval", "--checkpoint", str(cut), "--corpus", str(corpus_dir),
+                     "--split", "val", "--out", str(tmp_path / "eval.csv")])
+        assert code == 2
+
+
 def test_predict_writes_label_and_color_maps(run_dir, corpus_dir, tmp_path):
     image = corpus_dir / "images" / "img_00009.ppm"
     code = main(["predict", "--checkpoint", str(run_dir / "checkpoint.dmls"),

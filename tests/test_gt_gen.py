@@ -71,6 +71,17 @@ class TestDilate:
             expect = dilate_loops(binary, w, s)
             assert np.array_equal(out, expect), f"window={w} stride={s}"
 
+    def test_wide_windows_and_odd_stride_match_loop_oracle(self):
+        # the desk windows (21, 9, 5 at stride 2), windows wider than the
+        # mask, and an odd stride whose kept cells sit off the grid origin
+        rng = np.random.default_rng(4)
+        combos = [(21, 2), (9, 2), (5, 2), (31, 2), (5, 3), (9, 3), (3, 12)]
+        for w, s in combos:
+            binary = (rng.random((2, 24, 24)) < 0.05).astype(np.uint8)
+            out = dilate_window(binary, w, s)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, dilate_loops(binary, w, s)), f"window={w} stride={s}"
+
     def test_monotone_in_window_size(self):
         rng = np.random.default_rng(3)
         binary = (rng.random((2, 12, 12)) < 0.2).astype(np.uint8)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ from reference import conv2d_loops, fd_grad, grad_mismatch, maxpool2d_loops, sum
 
 def t(arr, requires_grad=False):
     return Tensor(np.asarray(arr, dtype=tensor.dtype()), requires_grad)
+
+
+# (kernel, stride, dilation, padding): every conv the desk and grad-check
+# models run, plus padded and strided 1x1 convs
+CONV_GEOMETRIES = [(3, 2, 1, 1), (3, 1, 2, 2), (3, 1, 1, 1), (1, 1, 1, 0),
+                   (1, 1, 1, 1), (1, 2, 1, 0)]
+GEOMETRY_IDS = [f"{k}x{k}_s{s}_d{d}_p{p}" for k, s, d, p in CONV_GEOMETRIES]
+
+
+def _conv_inputs(rng, k):
+    return (t(rng.normal(size=(2, 3, 7, 7))),
+            t(rng.normal(size=(4, 3, k, k))),
+            t(rng.normal(size=(1, 4, 1, 1))))
 
 
 class TestConv2d:
@@ -60,6 +75,32 @@ class TestConv2d:
             expect = conv2d_loops(x.data, wt.data, b.data.reshape(-1),
                                   stride=stride, dilation=dilation, padding=padding)
             np.testing.assert_allclose(out.data, expect, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_model_geometries_match_loops(self, geometry, check64):
+        k, stride, dilation, padding = geometry
+        rng = np.random.default_rng(zlib.crc32(repr(geometry).encode()))
+        x, wt, b = _conv_inputs(rng, k)
+        out = ops.conv2d(x, wt, b, stride=stride, dilation=dilation, padding=padding)
+        expect = conv2d_loops(x.data, wt.data, b.data.reshape(-1),
+                              stride=stride, dilation=dilation, padding=padding)
+        assert out.shape == expect.shape
+        np.testing.assert_allclose(out.data, expect, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_float32_forward_matches_float64_loops(self, geometry):
+        # positive operands: no cancellation, so a relative bound is fair
+        k, stride, dilation, padding = geometry
+        rng = np.random.default_rng(zlib.crc32(repr(geometry).encode()))
+        x = t(rng.random((2, 3, 7, 7)))
+        wt = t(rng.random((4, 3, k, k)))
+        b = t(rng.random((1, 4, 1, 1)))
+        out = ops.conv2d(x, wt, b, stride=stride, dilation=dilation, padding=padding)
+        assert out.data.dtype == np.float32
+        expect = conv2d_loops(x.data.astype(np.float64), wt.data.astype(np.float64),
+                              b.data.reshape(-1).astype(np.float64),
+                              stride=stride, dilation=dilation, padding=padding)
+        np.testing.assert_allclose(out.data, expect, rtol=1e-5)
 
     def test_output_spatial_size(self):
         x = t(np.zeros((1, 1, 9, 9)))
@@ -217,30 +258,35 @@ class TestElementwiseSum:
             ops.elementwise_sum([t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 3)))])
 
 
-def _fd_check_op(rng, build_inputs, run_op, n_instances):
+def _fd_check_op(rng, build_inputs, run_op, n_instances, wants=None):
     """FD-vs-autodiff comparison over random instances of one op.
 
     Seeds the output gradient with a random projection and runs the tape
     sweep by hand, so the vector-Jacobian product of a single op is checked
-    rather than just the gradient of its sum.
+    rather than just the gradient of its sum.  `wants` flags which inputs
+    require gradients (default all); the others must receive none.
     """
     worst = 0.0
     for _ in range(n_instances):
         tensors = build_inputs(rng)
+        flags = wants if wants is not None else (True,) * len(tensors)
         proj = rng.normal(size=run_op(*tensors).shape)
 
         def value():
             return float((run_op(*tensors).data * proj).sum())
 
-        for target in tensors:
-            target.requires_grad = True
+        for target, flag in zip(tensors, flags):
+            target.requires_grad = flag
         with record() as g:
             out = run_op(*tensors)
         out.accumulate_grad(proj.astype(out.data.dtype))
         for node in reversed(g.nodes):
             if node.output.grad is not None:
                 node.backward_fn(node.output.grad)
-        for target in tensors:
+        for target, flag in zip(tensors, flags):
+            if not flag:
+                assert target.grad is None
+                continue
             numeric = fd_grad(value, target.data)
             worst = max(worst, grad_mismatch(target.grad, numeric))
             target.zero_grad()
@@ -248,9 +294,22 @@ def _fd_check_op(rng, build_inputs, run_op, n_instances):
     return worst
 
 
+def _away_from_zero(rng, shape):
+    """Normal values pushed at least 1e-3 from relu's kink at 0, far beyond
+    the finite-difference step of 1e-5."""
+    v = rng.normal(size=shape)
+    return v + np.where(v >= 0, 1e-3, -1e-3)
+
+
+def _distinct_grid(rng, shape):
+    """A shuffled grid of values 1e-2 apart: no max-pool window holds two
+    values within a finite-difference step of each other."""
+    return (rng.permutation(int(np.prod(shape))).reshape(shape) - 20.0) * 1e-2
+
+
 @pytest.mark.parametrize("op_name", ["conv2d", "relu", "maxpool2d", "upsample", "sum", "scale"])
 def test_gradients_match_finite_differences(op_name, check64):
-    rng = np.random.default_rng(hash(op_name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     n_instances = 100
 
     if op_name == "conv2d":
@@ -263,13 +322,13 @@ def test_gradients_match_finite_differences(op_name, check64):
             return ops.conv2d(x, w, b, stride=1, dilation=2, padding=2)
     elif op_name == "relu":
         def build(rng):
-            return (t(rng.normal(size=(2, 2, 4, 4))),)
+            return (t(_away_from_zero(rng, (2, 2, 4, 4))),)
 
         def run(x):
             return ops.relu(x)
     elif op_name == "maxpool2d":
         def build(rng):
-            return (t(rng.normal(size=(1, 2, 6, 6))),)
+            return (t(_distinct_grid(rng, (1, 2, 6, 6))),)
 
         def run(x):
             return ops.maxpool2d(x, kernel=3, stride=2, padding=1)
@@ -294,6 +353,34 @@ def test_gradients_match_finite_differences(op_name, check64):
 
     worst = _fd_check_op(rng, build, run, n_instances)
     assert worst <= 1e-4, f"{op_name}: worst FD mismatch {worst}"
+
+
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
+def test_conv2d_geometry_gradients_match_finite_differences(geometry, check64):
+    k, stride, dilation, padding = geometry
+    rng = np.random.default_rng(zlib.crc32(repr(geometry).encode()))
+
+    def run(x, w, b):
+        return ops.conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+
+    worst = _fd_check_op(rng, lambda r: _conv_inputs(r, k), run, 5)
+    assert worst <= 1e-4, f"{geometry}: worst FD mismatch {worst}"
+
+
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("wants", [(True, False, False), (False, True, False),
+                                   (False, False, True), (True, False, True),
+                                   (False, True, True), (True, True, False)],
+                         ids=["x", "weight", "bias", "x+bias", "weight+bias", "x+weight"])
+def test_conv2d_partial_gradients_match_finite_differences(geometry, wants, check64):
+    k, stride, dilation, padding = geometry
+    rng = np.random.default_rng(zlib.crc32(repr((geometry, wants)).encode()))
+
+    def run(x, w, b):
+        return ops.conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+
+    worst = _fd_check_op(rng, lambda r: _conv_inputs(r, k), run, 2, wants=wants)
+    assert worst <= 1e-4, f"{geometry} {wants}: worst FD mismatch {worst}"
 
 
 def test_serial_determinism(check64):

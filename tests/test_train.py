@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dmlseg import tensor
 from dmlseg.checkpoint import load_container
 from dmlseg.errors import ConfigError
 from dmlseg.model import ModelConfig
@@ -52,6 +53,17 @@ def test_zero_lr_keeps_parameters_bitwise(corpus, tmp_path):
     init = build_model(mcfg, seed=5)
     for p, q in zip(one.model.parameters(), init.parameters()):
         assert np.array_equal(p.tensor.data, q.tensor.data)
+
+
+def test_train_restores_callers_precision(corpus, tmp_path):
+    tensor.set_precision("check64")
+    train(corpus, tiny_model_config(), TrainConfig(iterations=1, batch_size=4, seed=0),
+          tmp_path / "run")
+    assert tensor.precision() == "check64"
+    with pytest.raises(ConfigError):
+        train(corpus, tiny_model_config(), TrainConfig(iterations=1, batch_size=99),
+              tmp_path / "bad")
+    assert tensor.precision() == "check64"
 
 
 def test_same_seed_reproduces_checkpoint_bits(corpus, tmp_path):
