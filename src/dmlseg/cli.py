@@ -9,7 +9,9 @@ experiment.  Options may come from a `key = value` config file via
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ MODEL_DEFAULTS = {
     "window_sizes": "11,5,3",
     "lambda": "1.0",
     "levels": "3",
+    "iterations": "300",  # train and experiment; TrainConfig has no default
 }
 
 # small 3-level network used by grad-check unless overridden
@@ -50,6 +53,10 @@ CHECK_DEFAULTS = {
     "lambda": "1.0",
     "levels": "3",
 }
+
+# the keys a flag may override; each flag's dest is its key
+CONFIG_KEYS = frozenset((*MODEL_KEYS, *(f.name for f in dataclasses.fields(TrainConfig)),
+                         "n_train", "n_val"))
 
 
 class Parser(argparse.ArgumentParser):
@@ -72,7 +79,7 @@ def _add_model_flags(sub):
     sub.add_argument("--seg-channels", dest="seg_channels", help="w,w,...")
     sub.add_argument("--dml-extra-stride", type=int, dest="dml_extra_stride")
     sub.add_argument("--windows", dest="window_sizes", help="odd,decreasing")
-    sub.add_argument("--lambda", type=float, dest="lam")
+    sub.add_argument("--lambda", type=float, dest="lambda")
     sub.add_argument("--levels", type=int)
 
 
@@ -100,77 +107,61 @@ def _merged(args, defaults: dict[str, str]) -> dict[str, str]:
     """defaults < config file < explicit flags."""
     kv = dict(defaults)
     kv.update(_file_kv(args))
-    overrides = {
-        "num_classes": getattr(args, "num_classes", None),
-        "input_size": getattr(args, "input_size", None),
-        "low_channels": getattr(args, "low_channels", None),
-        "seg_channels": getattr(args, "seg_channels", None),
-        "dml_extra_stride": getattr(args, "dml_extra_stride", None),
-        "window_sizes": getattr(args, "window_sizes", None),
-        "lambda": getattr(args, "lam", None),
-        "levels": getattr(args, "levels", None),
-        "iterations": getattr(args, "iterations", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "lr": getattr(args, "lr", None),
-        "momentum": getattr(args, "momentum", None),
-        "weight_decay": getattr(args, "weight_decay", None),
-        "lr_poly": getattr(args, "lr_poly", None),
-        "eval_every": getattr(args, "eval_every", None),
-        "precision": getattr(args, "precision", None),
-        "seed": getattr(args, "seed", None),
-    }
-    kv.update({k: str(v) for k, v in overrides.items() if v is not None})
+    kv.update({k: str(v) for k, v in vars(args).items()
+               if k in CONFIG_KEYS and v is not None})
     return kv
 
 
 def _model_config(kv: dict[str, str]) -> ModelConfig:
-    levels = int(kv.get("levels", "3"))
-    windows = kv.get("window_sizes", "")
-    window_sizes = tuple(int(w) for w in windows.split(",")) if windows else ()
-    window_sizes = window_sizes[:levels]
-    merged = {k: kv[k] for k in MODEL_KEYS if k in kv}
-    merged["window_sizes"] = ",".join(str(w) for w in window_sizes)
-    merged["levels"] = str(levels)
-    return ModelConfig.from_kv(merged)
+    try:
+        levels = int(kv.get("levels", "3"))
+        windows = kv.get("window_sizes", "")
+        window_sizes = tuple(int(w) for w in windows.split(",")) if windows else ()
+        merged = {k: kv[k] for k in MODEL_KEYS if k in kv}
+        merged["window_sizes"] = ",".join(str(w) for w in window_sizes[:levels])
+        merged["levels"] = str(levels)
+        return ModelConfig.from_kv(merged)
+    except (ValueError, DataError) as exc:
+        raise ConfigError(f"bad model option: {exc}") from exc
 
 
 def _train_config(kv: dict[str, str]) -> TrainConfig:
+    types = typing.get_type_hints(TrainConfig)
     try:
-        return TrainConfig(
-            iterations=int(kv.get("iterations", "300")),
-            batch_size=int(kv.get("batch_size", "8")),
-            momentum=float(kv.get("momentum", "0.9")),
-            weight_decay=float(kv.get("weight_decay", "0.0005")),
-            lr=float(kv.get("lr", "0.01")),
-            seed=int(kv.get("seed", "0")),
-            eval_every=int(kv.get("eval_every", "0")),
-            precision=kv.get("precision", "train32"),
-            lr_poly=float(kv.get("lr_poly", "0.0")),
-        )
+        return TrainConfig(**{k: types[k](kv[k]) for k in types if k in kv})
     except ValueError as exc:
         raise ConfigError(f"bad training option: {exc}") from exc
 
 
+def _seed(kv: dict[str, str]) -> int:
+    try:
+        return int(kv.get("seed", "0"))
+    except ValueError as exc:
+        raise ConfigError(f"bad seed: {exc}") from exc
+
+
 def _cmd_gen_data(args) -> int:
-    kv = _merged(args, {})
-    h, _, w = kv.get("input_size", kv.get("size", "96x96")).partition("x")
-    spec_kw = dict(
-        seed=int(kv.get("seed", "0")),
-        size=(int(h), int(w)),
-        num_classes=int(kv.get("num_classes", "8")),
-    )
-    if "pools" in kv:
-        spec_kw["pools"] = tuple(tuple(int(c) for c in part.split(","))
-                                 for part in kv["pools"].split("|"))
-    for key in ("shapes_min", "shapes_max"):
-        if key in kv:
-            spec_kw[key] = int(kv[key])
-    for key in ("jitter", "noise"):
-        if key in kv:
-            spec_kw[key] = float(kv[key])
+    kv = _merged(args, {"n_train": "500", "n_val": "100"})
+    try:
+        h, _, w = kv.get("input_size", kv.get("size", "96x96")).partition("x")
+        spec_kw = dict(
+            seed=int(kv.get("seed", "0")),
+            size=(int(h), int(w)),
+            num_classes=int(kv.get("num_classes", "8")),
+        )
+        if "pools" in kv:
+            spec_kw["pools"] = tuple(tuple(int(c) for c in part.split(","))
+                                     for part in kv["pools"].split("|"))
+        for key in ("shapes_min", "shapes_max"):
+            if key in kv:
+                spec_kw[key] = int(kv[key])
+        for key in ("jitter", "noise"):
+            if key in kv:
+                spec_kw[key] = float(kv[key])
+        n_train, n_val = int(kv["n_train"]), int(kv["n_val"])
+    except ValueError as exc:
+        raise ConfigError(f"bad data option: {exc}") from exc
     spec = SceneSpec(**spec_kw)
-    n_train = int(kv.get("n_train", str(args.train)))
-    n_val = int(kv.get("n_val", str(args.val)))
     corpus = write_corpus(spec, n_train, n_val, args.out)
     print(f"wrote {n_train} train / {n_val} val scenes to {corpus.root}")
     return 0
@@ -234,8 +225,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    cfg = _model_config(_merged(args, CHECK_DEFAULTS))
-    report = grad_check(cfg, args.tolerance, seed=args.seed or 0)
+    kv = _merged(args, CHECK_DEFAULTS)
+    cfg = _model_config(kv)
+    report = grad_check(cfg, args.tolerance, seed=_seed(kv))
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -249,15 +241,18 @@ def _cmd_experiment(args) -> int:
     kv = _merged(args, MODEL_DEFAULTS)
     base_cfg = _model_config(kv)
     train_cfg = _train_config(kv)
-    levels = tuple(int(v) for v in args.run_levels.split(","))
+    try:
+        levels = tuple(int(v) for v in args.run_levels.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --run-levels: {exc}") from exc
     csv_text, _ = run_experiment(corpus, base_cfg, train_cfg, args.out, levels)
     sys.stdout.write(csv_text)
     return 0
 
 
 def _cmd_describe(args) -> int:
-    cfg = _model_config(_merged(args, MODEL_DEFAULTS))
-    sys.stdout.write(describe(build_model(cfg, seed=args.seed or 0)))
+    kv = _merged(args, MODEL_DEFAULTS)
+    sys.stdout.write(describe(build_model(_model_config(kv), seed=_seed(kv))))
     return 0
 
 
@@ -268,8 +263,8 @@ def build_parser() -> Parser:
     p = subs.add_parser("gen-data", parents=[], help="generate a synthetic corpus")
     _add_common(p)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--train", type=int, default=500)
-    p.add_argument("--val", type=int, default=100)
+    p.add_argument("--train", type=int, dest="n_train")
+    p.add_argument("--val", type=int, dest="n_val")
     p.add_argument("--classes", type=int, dest="num_classes")
     p.add_argument("--input-size", dest="input_size", help="HxW")
     p.set_defaults(func=_cmd_gen_data)

@@ -17,7 +17,3 @@ def parse_kv(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
-
-
-def format_kv(pairs: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items())

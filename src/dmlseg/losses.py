@@ -20,7 +20,6 @@ class LossReport:
     l_seg: float
     l_mul: list[float]
     total: float
-    valid_pixel_count: int
 
     def csv_row(self, iteration: int) -> str:
         mul = ",".join(f"{v:.9g}" for v in self.l_mul)
@@ -99,8 +98,8 @@ def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
     return out
 
 
-def total_objective(l_seg: Tensor, l_mul: Sequence[Tensor], lam: float,
-                    valid_pixel_count: int = 0) -> tuple[Tensor, LossReport]:
+def total_objective(l_seg: Tensor, l_mul: Sequence[Tensor],
+                    lam: float) -> tuple[Tensor, LossReport]:
     """total = l_seg + lam * sum(l_mul), kept on the tape for backward."""
     if l_mul:
         total = elementwise_sum([l_seg, scale(elementwise_sum(list(l_mul)), lam)])
@@ -110,6 +109,5 @@ def total_objective(l_seg: Tensor, l_mul: Sequence[Tensor], lam: float,
         l_seg=l_seg.item(),
         l_mul=[t.item() for t in l_mul],
         total=total.item(),
-        valid_pixel_count=valid_pixel_count,
     )
     return total, report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,17 +79,13 @@ def scalar(value: float, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full((1, 1, 1, 1), value, dtype=_dtype), requires_grad)
 
 
-class Node:
+class Node(NamedTuple):
     """One recorded operation: its input/output tensors and how to push
     the output gradient back to the inputs."""
 
-    __slots__ = ("inputs", "output", "backward_fn")
-
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor,
-                 backward_fn: Callable[[np.ndarray], None]):
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+    inputs: tuple[Tensor, ...]
+    output: Tensor
+    backward_fn: Callable[[np.ndarray], None]
 
 
 class Graph:
@@ -143,19 +139,11 @@ def record(graph: Graph | None = None) -> Iterator[Graph]:
         _active = prev
 
 
-def active_graph() -> Graph | None:
-    return _active
-
-
 def push_node(inputs: tuple[Tensor, ...], output: Tensor,
               backward_fn: Callable[[np.ndarray], None]) -> None:
     """Record a backward closure if a tape is active and grads are wanted."""
     if _active is not None and output.requires_grad:
         _active.record(inputs, output, backward_fn)
-
-
-def backward(loss: Tensor, graph: Graph) -> None:
-    graph.backward(loss)
 
 
 class Parameter:

@@ -77,6 +77,16 @@ def _precision(mode: str):
         tensor.set_precision(prev_mode)
 
 
+def objective(model: Model, x: Tensor, y_seg: np.ndarray,
+              y_mul: list[np.ndarray]) -> tuple[Tensor, LossReport]:
+    """Forward pass plus the joint loss: softmax NLL of the fused scores and
+    lambda times one presence loss per DML level."""
+    net = forward(model, x)
+    l_mul = [multilabel_nll(net.m[j], y_mul[j]) for j in range(model.config.levels)]
+    l_seg = softmax_nll(net.p, y_seg)
+    return total_objective(l_seg, l_mul, model.config.lam)
+
+
 def _batch_iterator(n: int, batch_size: int, seed: int):
     """Seeded without-replacement epochs, partial tail batches dropped."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -119,13 +129,7 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
                 try:
                     with record() as g:
-                        net = forward(model, x)
-                        l_mul = [multilabel_nll(net.m[j], y_mul[j])
-                                 for j in range(model_cfg.levels)]
-                        l_seg = softmax_nll(net.p, y_seg)
-                        total, report = total_objective(
-                            l_seg, l_mul, model_cfg.lam,
-                            valid_pixel_count=int((y_seg != IGNORE).sum()))
+                        total, report = objective(model, x, y_seg, y_mul)
                     if not math.isfinite(report.total):
                         raise NumericError("non-finite loss")
                     g.backward(total)
@@ -216,18 +220,9 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
         levels = [multilabel_from_grid_mask(g, model_cfg) for g in grids]
         y_mul = [np.stack([lv[j] for lv in levels]) for j in range(model_cfg.levels)]
 
-        def loss_value() -> float:
-            net = forward(model, Tensor(x_data))
-            l_mul = [multilabel_nll(net.m[j], y_mul[j]) for j in range(model_cfg.levels)]
-            l_seg = softmax_nll(net.p, grids)
-            total, _ = total_objective(l_seg, l_mul, model_cfg.lam)
-            return total.item()
-
+        x = Tensor(x_data)
         with record() as g:
-            net = forward(model, Tensor(x_data))
-            l_mul = [multilabel_nll(net.m[j], y_mul[j]) for j in range(model_cfg.levels)]
-            l_seg = softmax_nll(net.p, grids)
-            total, _ = total_objective(l_seg, l_mul, model_cfg.lam)
+            total, _ = objective(model, x, grids, y_mul)
         g.backward(total)
 
         per_layer: dict[str, float] = {}
@@ -240,9 +235,9 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = loss_value()
+                hi = objective(model, x, grids, y_mul)[0].item()
                 flat[i] = orig - step
-                lo = loss_value()
+                lo = objective(model, x, grids, y_mul)[0].item()
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * step)
             per_layer[p.name] = _rel_err(analytic, numeric)

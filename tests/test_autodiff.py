@@ -4,7 +4,7 @@ import pytest
 from dmlseg import ops, tensor
 from dmlseg.errors import ConfigError, UsageError
 from dmlseg.optim import sgd_step
-from dmlseg.tensor import Parameter, Tensor, backward, record, scalar
+from dmlseg.tensor import Parameter, Tensor, record, scalar
 
 
 def test_tensor_is_rank_four_only():
@@ -25,7 +25,7 @@ def test_backward_constant_scale():
     x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
     with record() as g:
         loss = ops.reduce_sum(ops.scale(x, 2.0))
-    backward(loss, g)
+    g.backward(loss)
     assert np.all(x.grad == 2.0)
 
 

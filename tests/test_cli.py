@@ -1,7 +1,7 @@
 import pytest
 
 from dmlseg.cli import main
-from dmlseg.synth_data import read_pgm, read_ppm
+from dmlseg.synth_data import read_corpus, read_pgm, read_ppm
 
 MODEL_FLAGS = ["--classes", "4", "--input-size", "32x32",
                "--low-channels", "8/2,8/2", "--seg-channels", "8,8",
@@ -94,6 +94,28 @@ def test_config_file_with_flag_override(corpus_dir, tmp_path):
     assert len(lines) == 3  # flag overrode the file's 4 iterations
 
 
+def test_gen_data_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("n_train = 6\nn_val = 2\nnum_classes = 4\ninput_size = 16x16\n")
+    out = tmp_path / "corpus"
+    assert main(["gen-data", "--out", str(out), "--config", str(cfg),
+                 "--train", "3", "--seed", "1"]) == 0
+    assert len(read_corpus(out).indices("train")) == 3  # flag beat the file's 6
+    assert len(read_corpus(out).indices("val")) == 2  # file beat the default
+
+
+def test_grad_check_reads_seed_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n")
+    small = ["--input-size", "8x8", "--tolerance", "1"]
+    outputs = []
+    for extra in (["--config", str(cfg)], ["--seed", "3"], ["--seed", "0"]):
+        assert main(["grad-check", *small, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] != outputs[2]
+
+
 def test_grad_check_command(capsys):
     code = main(["grad-check", "--tolerance", "1e-4", "--seed", "0"])
     assert code == 0
@@ -144,3 +166,28 @@ def test_describe_command(capsys):
     out = capsys.readouterr().out
     assert out.startswith("input 3x32x32")
     assert "fuse sum" in out
+
+
+@pytest.mark.parametrize("argv, cfg_text", [
+    (["describe"], "levels = three\n"),
+    (["describe"], "num_classes = x\n"),
+    (["describe"], "seed = x\n"),
+    (["describe", "--input-size", "32"], ""),
+    (["describe", "--low-channels", "8x2"], ""),
+    (["describe", "--windows", "5,a"], ""),
+    (["grad-check", "--input-size", "8x8"], "seed = 1.5\n"),
+    (["gen-data", "--out", "{out}", "--input-size", "32"], ""),
+    (["gen-data", "--out", "{out}"], "n_train = many\n"),
+    (["gen-data", "--out", "{out}"], "pools = 1,2|x\n"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS], "lr = fast\n"),
+    (["experiment", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
+      "--run-levels", "0,a"], ""),
+], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
+        "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
+        "run-levels"])
+def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    argv = [a.format(corpus=corpus_dir, out=tmp_path / "out") for a in argv]
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

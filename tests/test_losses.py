@@ -169,7 +169,6 @@ class TestTotalObjective:
         assert report.l_mul == []
 
     def test_csv_round_trip_shape(self):
-        report = losses.LossReport(l_seg=1.0, l_mul=[0.5, 0.25], total=1.75,
-                                   valid_pixel_count=10)
+        report = losses.LossReport(l_seg=1.0, l_mul=[0.5, 0.25], total=1.75)
         assert losses.LossReport.csv_header(2) == "iter,l_seg,l_mul_1,l_mul_2,total"
         assert report.csv_row(7) == "7,1,0.5,0.25,1.75"

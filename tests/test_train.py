@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -165,3 +166,10 @@ def test_experiment_structure_and_determinism(corpus, tmp_path):
     assert csv_a == csv_b
     assert (tmp_path / "a" / "experiment.csv").read_bytes() == \
         (tmp_path / "b" / "experiment.csv").read_bytes()
+
+
+def test_package_does_not_shadow_train_module():
+    import dmlseg.train as train_module
+
+    assert inspect.ismodule(train_module)
+    assert train_module.train is train
