@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .gt_gen import IGNORE
 from .model import Model, ModelConfig, build_model
 
 MAGIC = b"DMLS"
@@ -89,38 +90,40 @@ def load_container(path: Path) -> tuple[str, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _model_arrays(model: Model) -> dict[str, np.ndarray]:
+    """Checkpoint entry name -> the live array it saves and restores:
+    parameters, then momentum buffers under "opt/<name>"."""
+    arrays = {p.name: p.tensor.data for p in model.parameters()}
+    arrays.update({f"opt/{p.name}": p.momentum for p in model.parameters()})
+    return arrays
+
+
 def save_model_checkpoint(path: Path, model: Model) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for p in model.parameters():
-        arrays[p.name] = p.tensor.data
-    for p in model.parameters():
-        arrays[f"opt/{p.name}"] = p.momentum
-    save_container(path, model.config.to_text(), arrays)
+    save_container(path, model.config.to_text(), _model_arrays(model))
 
 
 def load_model_checkpoint(path: Path) -> Model:
-    """Rebuild a model (weights and optimizer state) from a checkpoint."""
+    """Rebuild a model (weights and optimizer state) from a checkpoint; a
+    file that does not make a valid model is a DataError."""
     header, arrays = load_container(path)
-    config = ModelConfig.from_text(header)
-    model = build_model(config, seed=0)
-    restore_model(model, arrays, path=path)
+    try:
+        model = build_model(ModelConfig.from_text(header), seed=0)
+        restore_model(model, arrays)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return model
 
 
-def restore_model(model: Model, arrays: dict[str, np.ndarray], path: Path = "") -> None:
-    for p in model.parameters():
-        for key, target in ((p.name, p.tensor.data), (f"opt/{p.name}", p.momentum)):
-            if key not in arrays:
-                raise ConfigError(f"{path}: checkpoint is missing entry {key}")
-            arr = arrays[key]
-            if arr.shape != target.shape:
-                raise ConfigError(f"{path}: entry {key} has shape {arr.shape}, "
-                                  f"model expects {target.shape}")
-            target[:] = arr.astype(target.dtype)
-    extra = set(arrays) - {p.name for p in model.parameters()} \
-        - {f"opt/{p.name}" for p in model.parameters()}
-    if extra:
-        raise ConfigError(f"{path}: unexpected checkpoint entries {sorted(extra)[:3]}")
+def restore_model(model: Model, arrays: dict[str, np.ndarray]) -> None:
+    targets = _model_arrays(model)
+    if arrays.keys() != targets.keys():
+        odd = sorted(arrays.keys() ^ targets.keys())[:3]
+        raise ConfigError(f"checkpoint entries missing or unexpected: {odd}")
+    for key, target in targets.items():
+        if arrays[key].shape != target.shape:
+            raise ConfigError(f"entry {key} has shape {arrays[key].shape}, "
+                              f"model expects {target.shape}")
+        target[:] = arrays[key].astype(target.dtype)
 
 
 # --- cached multi-label targets ----------------------------------------------
@@ -139,18 +142,21 @@ def save_gt_cache(path: Path, config: ModelConfig, corpus_hash: str,
 
 def load_gt_cache(path: Path, config: ModelConfig, corpus_hash: str
                   ) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """Targets cached for this config and corpus; anything else is a DataError."""
     header, arrays = load_container(path)
     expect = config.to_text() + f"corpus_hash = {corpus_hash}\n"
     if header != expect:
         raise DataError(f"{path}: cache was built for a different config or corpus")
-    grids = []
-    targets = []
-    i = 0
-    while f"img{i:05d}/seg" in arrays:
-        grids.append(arrays[f"img{i:05d}/seg"][0, 0])
-        levels = []
-        for j in range(config.levels):
-            levels.append(arrays[f"img{i:05d}/lvl{j}"][0])
-        targets.append(levels)
-        i += 1
+    shapes = {"seg": (1, 1, *config.seg_grid)}
+    shapes.update({f"lvl{j}": (1, config.num_classes, *config.dml_grid)
+                   for j in range(config.levels)})
+    count = len(arrays) // len(shapes)
+    names = {f"img{i:05d}/{k}": shape for i in range(count) for k, shape in shapes.items()}
+    if arrays.keys() != names.keys() or any(arrays[k].shape != v for k, v in names.items()):
+        raise DataError(f"{path}: entries are not {count} images of {shapes}")
+    grids = [arrays[f"img{i:05d}/seg"][0, 0] for i in range(count)]
+    if any(((g >= config.num_classes) & (g != IGNORE)).any() for g in grids):
+        raise DataError(f"{path}: a seg entry holds a label >= {config.num_classes}")
+    targets = [[arrays[f"img{i:05d}/lvl{j}"][0] for j in range(config.levels)]
+               for i in range(count)]
     return grids, targets

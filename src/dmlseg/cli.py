@@ -35,10 +35,6 @@ MODEL_DEFAULTS = {
     "input_size": "96x96",
     "low_channels": "24/2,48/2",
     "seg_channels": "64,64",
-    "dml_extra_stride": "2",
-    "window_sizes": "11,5,3",
-    "lambda": "1.0",
-    "levels": "3",
     "iterations": "300",  # train and experiment; TrainConfig has no default
 }
 
@@ -48,15 +44,15 @@ CHECK_DEFAULTS = {
     "input_size": "32x32",
     "low_channels": "8/2,8/2",
     "seg_channels": "8,8",
-    "dml_extra_stride": "2",
     "window_sizes": "5,3,1",
-    "lambda": "1.0",
-    "levels": "3",
 }
 
 # the keys a flag may override; each flag's dest is its key
 CONFIG_KEYS = frozenset((*MODEL_KEYS, *(f.name for f in dataclasses.fields(TrainConfig)),
-                         "n_train", "n_val"))
+                         "n_train", "n_val", "run_levels"))
+
+# the keys a config file may hold: the flags' keys plus gen-data's scene keys
+FILE_KEYS = CONFIG_KEYS.union(SceneSpec(seed=0).to_kv())
 
 
 class Parser(argparse.ArgumentParser):
@@ -95,12 +91,20 @@ def _add_train_flags(sub):
 
 
 def _file_kv(args) -> dict[str, str]:
+    """--config's keys; a malformed line or a key no command reads is a ConfigError."""
     if getattr(args, "config", None) is None:
         return {}
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    return parse_kv(path.read_text(encoding="utf-8"))
+    try:
+        kv = parse_kv(path.read_text(encoding="utf-8"))
+    except (DataError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
+    unknown = sorted(kv.keys() - FILE_KEYS)
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
+    return kv
 
 
 def _merged(args, defaults: dict[str, str]) -> dict[str, str]:
@@ -114,14 +118,8 @@ def _merged(args, defaults: dict[str, str]) -> dict[str, str]:
 
 def _model_config(kv: dict[str, str]) -> ModelConfig:
     try:
-        levels = int(kv.get("levels", "3"))
-        windows = kv.get("window_sizes", "")
-        window_sizes = tuple(int(w) for w in windows.split(",")) if windows else ()
-        merged = {k: kv[k] for k in MODEL_KEYS if k in kv}
-        merged["window_sizes"] = ",".join(str(w) for w in window_sizes[:levels])
-        merged["levels"] = str(levels)
-        return ModelConfig.from_kv(merged)
-    except (ValueError, DataError) as exc:
+        return ModelConfig.from_kv(kv)
+    except DataError as exc:
         raise ConfigError(f"bad model option: {exc}") from exc
 
 
@@ -143,25 +141,13 @@ def _seed(kv: dict[str, str]) -> int:
 def _cmd_gen_data(args) -> int:
     kv = _merged(args, {"n_train": "500", "n_val": "100"})
     try:
-        h, _, w = kv.get("input_size", kv.get("size", "96x96")).partition("x")
-        spec_kw = dict(
-            seed=int(kv.get("seed", "0")),
-            size=(int(h), int(w)),
-            num_classes=int(kv.get("num_classes", "8")),
-        )
-        if "pools" in kv:
-            spec_kw["pools"] = tuple(tuple(int(c) for c in part.split(","))
-                                     for part in kv["pools"].split("|"))
-        for key in ("shapes_min", "shapes_max"):
-            if key in kv:
-                spec_kw[key] = int(kv[key])
-        for key in ("jitter", "noise"):
-            if key in kv:
-                spec_kw[key] = float(kv[key])
         n_train, n_val = int(kv["n_train"]), int(kv["n_val"])
-    except ValueError as exc:
+        num_classes = int(kv.get("num_classes", SceneSpec.num_classes))
+        scene = {**SceneSpec(seed=0, num_classes=num_classes).to_kv(), **kv}
+        scene["size"] = kv.get("input_size", scene["size"])
+        spec = SceneSpec.from_kv(scene)
+    except (ValueError, DataError) as exc:
         raise ConfigError(f"bad data option: {exc}") from exc
-    spec = SceneSpec(**spec_kw)
     corpus = write_corpus(spec, n_train, n_val, args.out)
     print(f"wrote {n_train} train / {n_val} val scenes to {corpus.root}")
     return 0
@@ -186,6 +172,9 @@ def _cmd_train(args) -> int:
     if args.gt_cache is not None:
         all_grids, all_targets = load_gt_cache(args.gt_cache, model_cfg,
                                                corpus.content_hash)
+        if len(all_grids) != len(corpus.entries):
+            raise DataError(f"{args.gt_cache}: cache holds {len(all_grids)} images, "
+                            f"corpus has {len(corpus.entries)}")
         idxs = corpus.indices("train")
         grids = [all_grids[i] for i in idxs]
         targets = [all_targets[i] for i in idxs]
@@ -238,13 +227,13 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_experiment(args) -> int:
     corpus = read_corpus(args.corpus)
-    kv = _merged(args, MODEL_DEFAULTS)
+    kv = _merged(args, {**MODEL_DEFAULTS, "run_levels": "0,1,2,3"})
     base_cfg = _model_config(kv)
     train_cfg = _train_config(kv)
     try:
-        levels = tuple(int(v) for v in args.run_levels.split(","))
+        levels = tuple(int(v) for v in kv["run_levels"].split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad --run-levels: {exc}") from exc
+        raise ConfigError(f"bad run_levels: {exc}") from exc
     csv_text, _ = run_experiment(corpus, base_cfg, train_cfg, args.out, levels)
     sys.stdout.write(csv_text)
     return 0
@@ -313,8 +302,8 @@ def build_parser() -> Parser:
     _add_train_flags(p)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--run-levels", default="0,1,2,3",
-                   help="comma list of level counts to compare")
+    p.add_argument("--run-levels", dest="run_levels",
+                   help="comma list of level counts to compare (default 0,1,2,3)")
     p.set_defaults(func=_cmd_experiment)
 
     p = subs.add_parser("describe", help="print the layer inventory")

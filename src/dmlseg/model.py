@@ -116,26 +116,31 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        kv = parse_kv(text)
-        return cls.from_kv(kv)
+        return cls.from_kv(parse_kv(text))
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ModelConfig":
+        """Parse `key = value` pairs; other keys are ignored, an absent
+        optional key takes the field default, and `levels` J keeps the
+        first J window sizes."""
         try:
             h, _, w = kv["input_size"].partition("x")
             low = tuple(tuple(int(v) for v in item.split("/"))
                         for item in kv["low_channels"].split(","))
-            windows = tuple(int(v) for v in kv["window_sizes"].split(",")) \
-                if kv.get("window_sizes") else ()
+            windows = cls.window_sizes
+            if "window_sizes" in kv:
+                windows = tuple(int(v) for v in kv["window_sizes"].split(",")) \
+                    if kv["window_sizes"] else ()
+            levels = int(kv.get("levels", cls.levels))
             return cls(
                 num_classes=int(kv["num_classes"]),
                 input_size=(int(h), int(w)),
                 low_channels=low,
                 seg_channels=tuple(int(v) for v in kv["seg_channels"].split(",")),
-                dml_extra_stride=int(kv.get("dml_extra_stride", "2")),
-                window_sizes=windows,
-                lam=float(kv.get("lambda", "1.0")),
-                levels=int(kv.get("levels", str(len(windows)))),
+                dml_extra_stride=int(kv.get("dml_extra_stride", cls.dml_extra_stride)),
+                window_sizes=windows[:levels],
+                lam=float(kv.get("lambda", cls.lam)),
+                levels=levels,
             )
         except (KeyError, ValueError) as exc:
             raise DataError(f"bad model config text: {exc}") from exc

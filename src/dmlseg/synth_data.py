@@ -54,7 +54,6 @@ class SceneSpec:
 
     def to_kv(self) -> dict[str, str]:
         return {
-            "format": MANIFEST_FORMAT,
             "seed": str(self.seed),
             "size": f"{self.size[0]}x{self.size[1]}",
             "num_classes": str(self.num_classes),
@@ -76,7 +75,7 @@ class SceneSpec:
                        shapes_min=int(kv["shapes_min"]), shapes_max=int(kv["shapes_max"]),
                        jitter=float(kv["jitter"]), noise=float(kv["noise"]))
         except (KeyError, ValueError) as exc:
-            raise DataError(f"bad scene spec in manifest: {exc}") from exc
+            raise DataError(f"bad scene spec: {exc}") from exc
 
 
 def class_colors(spec: SceneSpec) -> np.ndarray:
@@ -185,6 +184,8 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
             raise DataError(f"{path}: malformed netpbm header") from exc
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: netpbm size {w}x{h} is not positive")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     channels = 3 if magic == b"P6" else 1
@@ -266,7 +267,8 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
                         f"regenerate with a different seed")
 
     content_hash = _corpus_hash(root, entries)
-    lines = [f"{k} = {v}" for k, v in spec.to_kv().items()]
+    lines = [f"format = {MANIFEST_FORMAT}"]
+    lines += [f"{k} = {v}" for k, v in spec.to_kv().items()]
     lines.append(f"n_train = {n_train}")
     lines.append(f"n_val = {n_val}")
     lines.append(f"hash = {content_hash}")

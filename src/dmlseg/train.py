@@ -52,13 +52,6 @@ class TrainResult:
     reports: list[LossReport]
 
 
-def _load_split(corpus: Corpus, split: str):
-    idxs = corpus.indices(split)
-    images = [corpus.load_image(i) for i in idxs]
-    masks = [corpus.load_mask(i) for i in idxs]
-    return images, masks
-
-
 def prepare_targets(masks, config: ModelConfig):
     """Decimated segmentation masks plus per-level presence targets."""
     grids = [downsample_mask(m, config.s_low, config.num_classes) for m in masks]
@@ -102,14 +95,15 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _precision(train_cfg.precision):
-        images, masks = _load_split(corpus, "train")
+        idxs = corpus.indices("train")
+        images = [corpus.load_image(i) for i in idxs]
         if not images:
             raise ConfigError("corpus has no training images")
         if train_cfg.batch_size > len(images):
             raise ConfigError(f"batch size {train_cfg.batch_size} exceeds "
                               f"{len(images)} training images")
         if grids is None or targets is None:
-            grids, targets = prepare_targets(masks, model_cfg)
+            grids, targets = prepare_targets([corpus.load_mask(i) for i in idxs], model_cfg)
 
         model = build_model(model_cfg, seed=train_cfg.seed)
         params = model.parameters()

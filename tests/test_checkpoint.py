@@ -128,3 +128,33 @@ def test_gt_cache_round_trip(tmp_path):
             assert np.array_equal(a, b)
     with pytest.raises(DataError, match="different config"):
         load_gt_cache(tmp_path / "gt.dmls", cfg, "otherhash")
+
+
+def _edited_gt_cache(tmp_path, edit):
+    cfg = tiny_config()
+    rng = np.random.default_rng(5)
+    masks = [rng.integers(0, 4, size=(32, 32)).astype(np.uint8) for _ in range(4)]
+    grids = [downsample_mask(m, cfg.s_low, cfg.num_classes) for m in masks]
+    save_gt_cache(tmp_path / "gt.dmls", cfg, "h", grids,
+                  [gen_multilabel_gt(m, cfg) for m in masks])
+    header, arrays = load_container(tmp_path / "gt.dmls")
+    edit(arrays)
+    save_container(tmp_path / "gt.dmls", header, arrays)
+    return cfg
+
+
+def _drop_image_0(arrays):
+    for name in [n for n in arrays if n.startswith("img00000/")]:
+        del arrays[name]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: a.pop("img00003/lvl1"),
+    _drop_image_0,
+    lambda a: a.update({"img00001/lvl0": a["img00001/lvl0"][:, :, :2]}),
+    lambda a: a["img00002/seg"].fill(4),
+], ids=["missing-level", "missing-image", "wrong-shape", "bad-label"])
+def test_malformed_gt_cache_is_data_error(tmp_path, edit):
+    cfg = _edited_gt_cache(tmp_path, edit)
+    with pytest.raises(DataError, match="gt.dmls"):
+        load_gt_cache(tmp_path / "gt.dmls", cfg, "h")

@@ -1,5 +1,6 @@
 import pytest
 
+from dmlseg.checkpoint import load_container, save_container
 from dmlseg.cli import main
 from dmlseg.synth_data import read_corpus, read_pgm, read_ppm
 
@@ -57,6 +58,29 @@ def test_eval_truncated_checkpoint_exits_2(run_dir, corpus_dir, tmp_path):
         assert code == 2
 
 
+def _drop_seg_proj_bias(header, arrays):
+    del arrays["seg.proj.bias"]
+    return header
+
+
+def _narrow_seg_proj_weight(header, arrays):
+    arrays["seg.proj.weight"] = arrays["seg.proj.weight"][:, :4]
+    return header
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_seg_proj_bias,
+    _narrow_seg_proj_weight,
+    lambda header, arrays: header.replace("window_sizes = 5,3,1", "window_sizes = 6,3,1"),
+], ids=["missing-entry", "wrong-shape", "even-window"])
+def test_eval_malformed_checkpoint_exits_2(edit, run_dir, corpus_dir, tmp_path, capsys):
+    header, arrays = load_container(run_dir / "checkpoint.dmls")
+    bad = tmp_path / "bad.dmls"
+    save_container(bad, edit(header, arrays), arrays)
+    assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_dir)]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 def test_predict_writes_label_and_color_maps(run_dir, corpus_dir, tmp_path):
     image = corpus_dir / "images" / "img_00009.ppm"
     code = main(["predict", "--checkpoint", str(run_dir / "checkpoint.dmls"),
@@ -78,6 +102,19 @@ def test_gen_gt_then_train_with_cache(corpus_dir, tmp_path):
                  *MODEL_FLAGS, "--iterations", "3", "--batch-size", "4",
                  "--gt-cache", str(cache), "--seed", "1"]) == 0
     assert (out / "checkpoint.dmls").exists()
+
+
+def test_train_gt_cache_not_covering_corpus_exits_2(corpus_dir, tmp_path):
+    cache = tmp_path / "gt.dmls"
+    assert main(["gen-gt", "--corpus", str(corpus_dir), "--out", str(cache),
+                 *MODEL_FLAGS]) == 0
+    header, arrays = load_container(cache)
+    last = f"img{len(read_corpus(corpus_dir).entries) - 1:05d}/"
+    save_container(cache, header, {k: v for k, v in arrays.items()
+                                   if not k.startswith(last)})
+    assert main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run"),
+                 *MODEL_FLAGS, "--iterations", "1", "--batch-size", "4",
+                 "--gt-cache", str(cache)]) == 2
 
 
 def test_config_file_with_flag_override(corpus_dir, tmp_path):
@@ -102,6 +139,17 @@ def test_gen_data_flags_override_config_file(tmp_path):
                  "--train", "3", "--seed", "1"]) == 0
     assert len(read_corpus(out).indices("train")) == 3  # flag beat the file's 6
     assert len(read_corpus(out).indices("val")) == 2  # file beat the default
+
+
+def test_gen_data_reads_scene_keys_from_config_file(tmp_path):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("n_train = 2\nn_val = 1\nnum_classes = 4\nsize = 16x24\n"
+                   "pools = 1|2,3\nshapes_min = 1\nshapes_max = 2\n"
+                   "jitter = 0.0\nnoise = 0.01\nseed = 4\n")
+    assert main(["gen-data", "--out", str(tmp_path / "c"), "--config", str(cfg)]) == 0
+    spec = read_corpus(tmp_path / "c").spec
+    assert (spec.seed, spec.size, spec.pools) == (4, (16, 24), ((1,), (2, 3)))
+    assert (spec.shapes_min, spec.shapes_max, spec.jitter, spec.noise) == (1, 2, 0.0, 0.01)
 
 
 def test_grad_check_reads_seed_from_config_file(tmp_path, capsys):
@@ -138,6 +186,18 @@ def test_experiment_command(corpus_dir, tmp_path, capsys):
     csv = (out / "experiment.csv").read_text().strip().split("\n")
     assert csv[0] == "levels,mean_iou,mean_wrong_class,mean_wrong_label"
     assert [int(l.split(",")[0]) for l in csv[1:]] == [0, 1]
+
+
+def test_experiment_config_file_reproduces_experiment(corpus_dir, tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["experiment", "--corpus", str(corpus_dir), "--out", str(first),
+                 *MODEL_FLAGS, "--iterations", "2", "--batch-size", "4",
+                 "--lr", "0.05", "--run-levels", "0,2", "--seed", "3"]) == 0
+    assert main(["experiment", "--corpus", str(corpus_dir), "--out", str(second),
+                 "--config", str(first / "experiment_config.txt")]) == 0
+    assert (second / "experiment.csv").read_bytes() == (first / "experiment.csv").read_bytes()
+    assert (second / "experiment_config.txt").read_bytes() == \
+        (first / "experiment_config.txt").read_bytes()
 
 
 def test_usage_error_exits_1(capsys):
@@ -182,12 +242,15 @@ def test_describe_command(capsys):
     (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS], "lr = fast\n"),
     (["experiment", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
       "--run-levels", "0,a"], ""),
+    (["describe"], "levles = 0\n"),
+    (["describe"], "junk line\n"),
+    (["describe"], "levels = \xff\n"),
 ], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
-        "run-levels"])
+        "run-levels", "unknown-key", "line-without-equals", "non-utf8"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(cfg_text)
+    cfg.write_text(cfg_text, encoding="latin-1")  # "\xff" becomes a non-UTF-8 byte
     argv = [a.format(corpus=corpus_dir, out=tmp_path / "out") for a in argv]
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -66,6 +66,19 @@ class TestModelConfig:
         cfg0 = tiny_config(levels=0, window_sizes=())
         assert ModelConfig.from_text(cfg0.to_text()) == cfg0
 
+    def test_from_kv_field_defaults_and_level_prefix(self):
+        base = {"num_classes": "4", "input_size": "32x32",
+                "low_channels": "8/2,8/2", "seg_channels": "8,8"}
+        assert ModelConfig.from_kv(base) == ModelConfig(
+            num_classes=4, input_size=(32, 32), low_channels=((8, 2), (8, 2)),
+            seg_channels=(8, 8))
+        assert ModelConfig.from_kv({**base, "levels": "1"}).window_sizes == (11,)
+        assert ModelConfig.from_kv(
+            {**base, "levels": "2", "window_sizes": "7,5,3"}).window_sizes == (7, 5)
+        assert ModelConfig.from_kv({**base, "levels": "0", "window_sizes": ""}).levels == 0
+        with pytest.raises(ConfigError, match="3 levels but 2 window sizes"):
+            ModelConfig.from_kv({**base, "window_sizes": "5,3"})
+
 
 class TestForward:
     def test_output_shapes(self):

@@ -76,6 +76,15 @@ class TestNetpbm:
         with pytest.raises(DataError, match="truncated"):
             read_pgm(tmp_path / "t.pgm")
 
+    @pytest.mark.parametrize("raw, read", [
+        (b"P6\n-3 -3\n255\n" + bytes(27), read_ppm),
+        (b"P5\n0 4\n255\n", read_pgm),
+    ], ids=["negative", "zero"])
+    def test_non_positive_size_rejected(self, tmp_path, raw, read):
+        (tmp_path / "n.pnm").write_bytes(raw)
+        with pytest.raises(DataError, match="not positive"):
+            read(tmp_path / "n.pnm")
+
     def test_wrong_magic_rejected(self, tmp_path):
         (tmp_path / "w.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(DataError, match="P6"):
