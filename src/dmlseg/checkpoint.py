@@ -10,6 +10,7 @@ multi-label targets.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -26,6 +27,8 @@ _TAG_FOR_KIND = {"f4": 0, "f8": 1, "u1": 2}
 
 
 def save_container(path: Path, header: str, arrays: dict[str, np.ndarray]) -> None:
+    """Write the container to a temporary file beside `path`, then rename it
+    over `path`, so a failed save leaves the previous file intact."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
@@ -44,7 +47,14 @@ def save_container(path: Path, header: str, arrays: dict[str, np.ndarray]) -> No
         blob += struct.pack("<B", _TAG_FOR_KIND[kind])
         blob += struct.pack("<4I", *arr.shape)
         blob += np.ascontiguousarray(arr, dtype=f"<{kind}").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_container(path: Path) -> tuple[str, dict[str, np.ndarray]]:

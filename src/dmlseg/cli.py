@@ -95,8 +95,8 @@ def _file_kv(args) -> dict[str, str]:
     if getattr(args, "config", None) is None:
         return {}
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"config file {path} does not exist or is not a file")
     try:
         kv = parse_kv(path.read_text(encoding="utf-8"))
     except (DataError, UnicodeDecodeError) as exc:

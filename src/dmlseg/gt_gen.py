@@ -40,24 +40,18 @@ def dilate_window(binary: np.ndarray, window: int, out_stride: int) -> np.ndarra
     off = (out_stride - 1) // 2
     if window == 1 and out_stride == 1:
         return binary.copy()
-    padded = np.pad(binary, ((0, 0), (half, half), (half, half)))
+    padded = np.zeros((k, h + 2 * half, w + 2 * half), dtype=binary.dtype)
+    padded[:, half:half + h, half:half + w] = binary
     h_out, w_out = h // out_stride, w // out_stride
     # separable max over the kept cells only: rows, then columns, each a
-    # (window, out) view whose first window starts at `off`
+    # (window, out) view whose first window starts at `off`; the ndarray
+    # constructor checks each view against its buffer's bounds
     sk, sh, sw = padded.strides
-    rows = np.lib.stride_tricks.as_strided(
-        padded[:, off:, :],
-        shape=(k, h_out, window, w + 2 * half),
-        strides=(sk, sh * out_stride, sh, sw),
-        writeable=False,
-    ).max(axis=2)
+    rows = np.ndarray((k, h_out, window, w + 2 * half), padded.dtype, buffer=padded,
+                      offset=off * sh, strides=(sk, sh * out_stride, sh, sw)).max(axis=2)
     rk, rh, rw = rows.strides
-    return np.lib.stride_tricks.as_strided(
-        rows[:, :, off:],
-        shape=(k, h_out, window, w_out),
-        strides=(rk, rh, rw, rw * out_stride),
-        writeable=False,
-    ).max(axis=2)
+    return np.ndarray((k, h_out, window, w_out), rows.dtype, buffer=rows,
+                      offset=off * rw, strides=(rk, rh, rw, rw * out_stride)).max(axis=2)
 
 
 def effective_window(window: int, stride: int) -> int:

@@ -2,9 +2,22 @@
 
 Convolution copies a strided window view once into contiguous columns
 (im2col) and runs one batched GEMM per pass; backward rebuilds the columns
-for the weight gradient instead of keeping them on the tape.  Max pooling
-saves argmax indices so backward can route gradients to the winning
-element, ties to the lowest linear index.
+for the weight gradient instead of keeping them on the tape.  The input
+gradient takes one of two paths, chosen by the layer's stride:
+
+* stride 1: a correlation of the output gradient, padded by eff-1-p (or
+  cropped when that is negative), with the flipped, transposed kernel, one
+  column copy and one GEMM per image, written straight into dX;
+* stride > 1: one GEMM gives the gradient of every window element, which
+  kh*kw strided adds scatter back onto the padded input.
+
+Max pooling saves argmax indices so backward can route gradients to the
+winning element, ties to the lowest linear index.
+
+Pads are one fill plus one slice copy, and window views come from the
+ndarray constructor, which checks the strides against the buffer: on the
+small inputs of a gradient check, np.pad and as_strided cost more in
+Python than the op's arithmetic.
 """
 
 from __future__ import annotations
@@ -17,17 +30,28 @@ from .errors import ConfigError, NumericError
 from .tensor import Tensor, push_node
 
 
+def _pad(a: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
+    """Copy of a (N, C, H, W) array with ph rows and pw columns of `fill`
+    added on each side, or removed from each side where negative."""
+    n, c, h, w = a.shape
+    out = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, dtype=a.dtype)
+    ih, iw = max(-ph, 0), max(-pw, 0)
+    oh, ow = max(ph, 0), max(pw, 0)
+    out[:, :, oh:oh + h - 2 * ih, ow:ow + w - 2 * iw] = a[:, :, ih:h - ih, iw:w - iw]
+    return out
+
+
 def _window_view(padded: np.ndarray, kh: int, kw: int, stride: int,
                  dilation: int, h_out: int, w_out: int) -> np.ndarray:
-    """View of shape (N, C, kh, kw, h_out, w_out) over a padded array."""
+    """Read-only view of shape (N, C, kh, kw, h_out, w_out) over a
+    C-contiguous padded array; the constructor raises if the strides reach
+    past its buffer."""
     n, c, _, _ = padded.shape
     sn, sc, sh, sw = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, kh, kw, h_out, w_out),
-        strides=(sn, sc, sh * dilation, sw * dilation, sh * stride, sw * stride),
-        writeable=False,
-    )
+    view = np.ndarray((n, c, kh, kw, h_out, w_out), padded.dtype, buffer=padded,
+                      strides=(sn, sc, sh * dilation, sw * dilation, sh * stride, sw * stride))
+    view.flags.writeable = False
+    return view
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
@@ -53,10 +77,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
     w_out = (wp - eff_w) // stride + 1
     k = c_in * kh * kw
 
-    if padding > 0:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        padded = x.data
+    padded = _pad(x.data, padding, padding, 0.0) if padding > 0 else x.data
 
     def columns() -> np.ndarray:
         """(N, C_in*kh*kw, h_out*w_out): one contiguous copy of the window
@@ -82,7 +103,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
             # columns are rebuilt here rather than kept on the tape
             gw = np.matmul(g_mat, columns().transpose(0, 2, 1)).sum(axis=0)
             weight.accumulate_grad(gw.reshape(weight.shape))
-        if x.requires_grad:
+        if x.requires_grad and stride == 1:
+            # correlation with the flipped kernel; columns one image at a
+            # time, since a batch-wide copy raises peak memory
+            qh, qw = eff_h - 1 - padding, eff_w - 1 - padding
+            g_pad = _pad(g, qh, qw, 0.0) if qh or qw else g
+            view = _window_view(g_pad, kh, kw, 1, dilation, h, w)
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+                c_in, c_out * kh * kw)
+            gx = np.empty((n, c_in, h * w), dtype=g.dtype)
+            for i in range(n):
+                np.matmul(w_flip, view[i].reshape(c_out * kh * kw, h * w), out=gx[i])
+            x.accumulate_grad(gx.reshape(n, c_in, h, w))
+        elif x.requires_grad:
             # gradient w.r.t. every window element, then scatter-add back
             gcols = np.matmul(w_mat.T, g_mat).reshape(n, c_in, kh, kw, h_out, w_out)
             gpad = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
@@ -91,10 +124,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
                     gpad[:, :,
                          u * dilation:u * dilation + stride * h_out:stride,
                          v * dilation:v * dilation + stride * w_out:stride] += gcols[:, :, u, v]
-            if padding > 0:
-                x.accumulate_grad(gpad[:, :, padding:-padding, padding:-padding])
-            else:
-                x.accumulate_grad(gpad)
+            x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
 
     push_node((x, weight, bias), out, backward_fn)
     return out
@@ -125,22 +155,12 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
         # first window would sit entirely in the padding band
         raise ConfigError(f"maxpool2d: padding {padding} >= kernel {kernel}")
 
-    if padding > 0:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                        constant_values=-np.inf)
-    else:
-        padded = x.data
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, h_out, w_out, kernel, kernel),
-        strides=(padded.strides[0], padded.strides[1],
-                 padded.strides[2] * stride, padded.strides[3] * stride,
-                 padded.strides[2], padded.strides[3]),
-        writeable=False,
-    )
-    flat = view.reshape(n, c, h_out, w_out, kernel * kernel)
+    padded = _pad(x.data, padding, padding, -np.inf) if padding > 0 else x.data
+    view = _window_view(padded, kernel, kernel, stride, 1, h_out, w_out)
+    flat = view.transpose(0, 1, 4, 5, 2, 3).reshape(-1, kernel * kernel)
     arg = np.argmax(flat, axis=-1)  # first occurrence = lowest linear index
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    out_data = flat[np.arange(flat.shape[0]), arg].reshape(n, c, h_out, w_out)
+    arg = arg.reshape(n, c, h_out, w_out)
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:

@@ -253,7 +253,8 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
         f"iterations = {train_cfg.iterations}\nbatch_size = {train_cfg.batch_size}\n"
         f"lr = {train_cfg.lr!r}\nlr_poly = {train_cfg.lr_poly!r}\n"
         f"momentum = {train_cfg.momentum!r}\nweight_decay = {train_cfg.weight_decay!r}\n"
-        f"seed = {train_cfg.seed}\nrun_levels = {','.join(str(j) for j in levels)}\n")
+        f"seed = {train_cfg.seed}\neval_every = {train_cfg.eval_every}\n"
+        f"precision = {train_cfg.precision}\nrun_levels = {','.join(str(j) for j in levels)}\n")
     (out / "experiment_config.txt").write_text(manifest, encoding="utf-8")
     rows = [EXPERIMENT_HEADER]
     eval_reports = []

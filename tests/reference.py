@@ -57,6 +57,27 @@ def maxpool2d_loops(x, kernel, stride, padding=0):
     return out
 
 
+def maxpool2d_grad_loops(x, g, kernel, stride, padding=0):
+    """Input gradient of max pooling: each output gradient goes to the first
+    in-bounds window element, in row-major order, holding the window max."""
+    n, c, h, w = x.shape
+    _, _, h_out, w_out = g.shape
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for oh in range(h_out):
+                for ow in range(w_out):
+                    best, at = -math.inf, None
+                    for u in range(kernel):
+                        for v in range(kernel):
+                            ih = oh * stride - padding + u
+                            iw = ow * stride - padding + v
+                            if 0 <= ih < h and 0 <= iw < w and x[ni, ci, ih, iw] > best:
+                                best, at = x[ni, ci, ih, iw], (ih, iw)
+                    gx[ni, ci, at[0], at[1]] += g[ni, ci, oh, ow]
+    return gx
+
+
 def sum_loops(arrays):
     out = np.zeros_like(arrays[0])
     flat = [a.reshape(-1) for a in arrays]

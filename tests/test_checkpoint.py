@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ def test_container_round_trip_bits(tmp_path):
         assert loaded[name].dtype == arrays[name].dtype
         assert np.array_equal(
             loaded[name].view(np.uint8), arrays[name].view(np.uint8))
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.dmls"
+    save_container(path, "round = 1\n", {"w": np.ones((1, 1, 2, 2), np.float32)})
+    before = path.read_bytes()
+
+    def torn_write(self, data):
+        with open(self, "wb") as f:
+            f.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_container(path, "round = 2\n", {"w": np.zeros((1, 1, 2, 2), np.float32)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.dmls"]
 
 
 def test_bad_magic_rejected(tmp_path):

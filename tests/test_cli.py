@@ -200,6 +200,24 @@ def test_experiment_config_file_reproduces_experiment(corpus_dir, tmp_path, caps
         (first / "experiment_config.txt").read_bytes()
 
 
+def test_experiment_config_file_replays_check64_checkpoints(corpus_dir, tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["experiment", "--corpus", str(corpus_dir), "--out", str(first),
+                 *MODEL_FLAGS, "--iterations", "2", "--batch-size", "4",
+                 "--precision", "check64", "--eval-every", "2",
+                 "--run-levels", "0,1", "--seed", "3"]) == 0
+    assert main(["experiment", "--corpus", str(corpus_dir), "--out", str(second),
+                 "--config", str(first / "experiment_config.txt")]) == 0
+    for level in ("level0", "level1"):
+        assert (second / level / "checkpoint.dmls").read_bytes() == \
+            (first / level / "checkpoint.dmls").read_bytes()
+
+
+def test_config_directory_exits_1(tmp_path, capsys):
+    assert main(["describe", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags

@@ -7,7 +7,8 @@ from dmlseg import ops, tensor
 from dmlseg.errors import ConfigError
 from dmlseg.tensor import Tensor, record
 
-from reference import conv2d_loops, fd_grad, grad_mismatch, maxpool2d_loops, sum_loops
+from reference import (conv2d_loops, fd_grad, grad_mismatch, maxpool2d_grad_loops,
+                       maxpool2d_loops, sum_loops)
 
 
 def t(arr, requires_grad=False):
@@ -15,9 +16,13 @@ def t(arr, requires_grad=False):
 
 
 # (kernel, stride, dilation, padding): every conv the desk and grad-check
-# models run, plus padded and strided 1x1 convs
+# models run, plus padded and strided 1x1 convs.  A stride-1 input gradient
+# pads the output gradient by eff-1-p: p for the model convs, 0 for 3x3 p2
+# and 1x1 p0, more than p for 3x3 d2 p1, and less than 0 (a crop) for 3x3 p3
+# and 1x1 p1
 CONV_GEOMETRIES = [(3, 2, 1, 1), (3, 1, 2, 2), (3, 1, 1, 1), (1, 1, 1, 0),
-                   (1, 1, 1, 1), (1, 2, 1, 0)]
+                   (1, 1, 1, 1), (1, 2, 1, 0), (3, 1, 1, 2), (3, 1, 2, 1),
+                   (3, 1, 1, 3)]
 GEOMETRY_IDS = [f"{k}x{k}_s{s}_d{d}_p{p}" for k, s, d, p in CONV_GEOMETRIES]
 
 
@@ -125,6 +130,14 @@ class TestConv2d:
             ops.conv2d(x, w, b, dilation=2)
 
 
+def test_window_view_is_read_only():
+    padded = np.zeros((1, 2, 5, 5))
+    view = ops._window_view(padded, 3, 3, 1, 1, 3, 3)
+    assert view.shape == (1, 2, 3, 3, 3, 3)
+    with pytest.raises(ValueError):
+        view[0, 0, 0, 0, 0, 0] = 1.0
+
+
 class TestReLU:
     def test_basic(self):
         x = t(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3))
@@ -190,6 +203,22 @@ class TestMaxPool:
             loss = ops.reduce_sum(ops.maxpool2d(x, kernel=2, stride=2))
         g.backward(loss)
         assert x.grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 11])
+    def test_ties_match_loops(self, kernel, check64):
+        # small integers: almost every window holds several copies of its max
+        rng = np.random.default_rng(kernel)
+        x = t(rng.integers(0, 3, size=(2, 2, 12, 12)), requires_grad=True)
+        g_out = rng.normal(size=(2, 2, 12, 12))
+        pad = (kernel - 1) // 2
+        with record() as g:
+            out = ops.maxpool2d(x, kernel=kernel, stride=1, padding=pad)
+        np.testing.assert_array_equal(
+            out.data, maxpool2d_loops(x.data, kernel=kernel, stride=1, padding=pad))
+        out.accumulate_grad(g_out)
+        g.nodes[-1].backward_fn(out.grad)
+        np.testing.assert_array_equal(
+            x.grad, maxpool2d_grad_loops(x.data, g_out, kernel=kernel, stride=1, padding=pad))
 
     def test_window_outside_raises(self):
         x = t(np.zeros((1, 1, 4, 4)))
