@@ -26,9 +26,21 @@ _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 _TAG_FOR_KIND = {"f4": 0, "f8": 1, "u1": 2}
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`, so a failed write leaves the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_container(path: Path, header: str, arrays: dict[str, np.ndarray]) -> None:
-    """Write the container to a temporary file beside `path`, then rename it
-    over `path`, so a failed save leaves the previous file intact."""
+    """Serialize the container and write it atomically over `path`."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
@@ -47,14 +59,7 @@ def save_container(path: Path, header: str, arrays: dict[str, np.ndarray]) -> No
         blob += struct.pack("<B", _TAG_FOR_KIND[kind])
         blob += struct.pack("<4I", *arr.shape)
         blob += np.ascontiguousarray(arr, dtype=f"<{kind}").tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(bytes(blob))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, bytes(blob))
 
 
 def load_container(path: Path) -> tuple[str, dict[str, np.ndarray]]:

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor
 from .checkpoint import load_gt_cache, load_model_checkpoint, save_gt_cache
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .kv import parse_kv
@@ -24,6 +23,7 @@ from .metrics import report_csv, report_table
 from .model import ModelConfig, build_model, describe, forward, predict_labels
 from .synth_data import (SceneSpec, palette, read_corpus, read_ppm, write_corpus,
                          write_pgm, write_ppm)
+from .tensor import Tensor
 from .train import (TrainConfig, evaluate, grad_check, prepare_targets,
                     run_experiment, train)
 
@@ -198,9 +198,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    tensor.set_precision("train32")
     image = read_ppm(args.image)
-    x = tensor.Tensor(image[None])
+    x = Tensor(image[None])
     net = forward(model, x)
     labels = predict_labels(net.p, model.config.input_size)[0]
     out = Path(args.out)

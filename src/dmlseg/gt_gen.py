@@ -38,8 +38,6 @@ def dilate_window(binary: np.ndarray, window: int, out_stride: int) -> np.ndarra
         raise ConfigError(f"mask size {h}x{w} not divisible by stride {out_stride}")
     half = (window - 1) // 2
     off = (out_stride - 1) // 2
-    if window == 1 and out_stride == 1:
-        return binary.copy()
     padded = np.zeros((k, h + 2 * half, w + 2 * half), dtype=binary.dtype)
     padded[:, half:half + h, half:half + w] = binary
     h_out, w_out = h // out_stride, w // out_stride
@@ -80,22 +78,10 @@ def downsample_mask(mask: np.ndarray, factor: int, num_classes: int) -> np.ndarr
     return out
 
 
-def gen_multilabel_gt(mask: np.ndarray, config) -> list[np.ndarray]:
-    """One (K, H_dml, W_dml) presence target per level from a full-size mask.
-
-    The mask is first decimated to the backbone output grid; window sizes
-    are defined on the multi-label grid and mapped to their extent there.
-    """
-    h, w = mask.shape
-    s_low = config.s_low
-    if h % s_low or w % s_low:
-        raise ConfigError(f"mask size {h}x{w} not divisible by backbone stride {s_low}")
-    grid_mask = downsample_mask(mask, s_low, config.num_classes)
-    return multilabel_from_grid_mask(grid_mask, config)
-
-
 def multilabel_from_grid_mask(grid_mask: np.ndarray, config) -> list[np.ndarray]:
-    """Targets from a mask already at the backbone output grid."""
+    """One (K, H_dml, W_dml) presence target per level from a mask already
+    decimated to the backbone output grid; window sizes are defined on the
+    multi-label grid and mapped to their extent on this one."""
     s = config.dml_extra_stride
     h, w = grid_mask.shape
     if h % s or w % s:

@@ -47,14 +47,12 @@ def multilabel_nll(m: Tensor, y: np.ndarray) -> Tensor:
     n, k, h, w = m.shape
     denom = n * h * w * k
     elem = np.maximum(md, 0) - md * yd + np.log1p(np.exp(-np.abs(md)))
-    out = scalar(float(elem.sum() / denom))
-    out.requires_grad = m.requires_grad
+    out = scalar(float(elem.sum() / denom), m.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if m.requires_grad:
-            e = np.exp(-np.abs(md))
-            sig = np.where(md >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-            m.accumulate_grad((sig - yd) * (float(g.reshape(())) / denom))
+        e = np.exp(-np.abs(md))
+        sig = np.where(md >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        m.accumulate_grad((sig - yd) * (float(g.reshape(())) / denom))
 
     push_node((m,), out, backward_fn)
     return out
@@ -80,19 +78,18 @@ def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
     z = pd - mx
     ez = np.exp(z)
     lse = np.log(ez.sum(axis=1, keepdims=True)) + mx  # (N,1,h,w)
+    # flat index of each pixel's target score; ignore pixels point at class 0
     cls = np.where(valid, y, 0).astype(np.int64)
-    picked = np.take_along_axis(pd, cls[:, None, :, :], axis=1)[:, 0]
+    flat = (np.arange(n)[:, None, None] * k + cls) * (h * w) + np.arange(h * w).reshape(h, w)
+    picked = pd.reshape(-1)[flat]
     nll = (lse[:, 0] - picked) * valid
-    out = scalar(float(nll.sum() / n_valid))
-    out.requires_grad = p.requires_grad
+    out = scalar(float(nll.sum() / n_valid), p.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if p.requires_grad:
-            softmax = ez / ez.sum(axis=1, keepdims=True)
-            onehot = np.zeros_like(pd)
-            np.put_along_axis(onehot, cls[:, None, :, :], 1.0, axis=1)
-            gp = (softmax - onehot) * valid[:, None, :, :]
-            p.accumulate_grad(gp * (float(g.reshape(())) / n_valid))
+        gp = ez / ez.sum(axis=1, keepdims=True)  # softmax, minus one-hot below
+        gp.reshape(-1)[flat] -= 1.0
+        gp *= valid[:, None, :, :]
+        p.accumulate_grad(gp * (float(g.reshape(())) / n_valid))
 
     push_node((p,), out, backward_fn)
     return out

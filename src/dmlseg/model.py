@@ -47,10 +47,13 @@ class ModelConfig:
                 raise ConfigError(f"window sizes must be odd and positive, got {w}")
         if any(a <= b for a, b in zip(self.window_sizes, self.window_sizes[1:])):
             raise ConfigError(f"window sizes must strictly decrease, got {self.window_sizes}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and non-negative, got {self.lam}")
         if not self.low_channels or not self.seg_channels:
             raise ConfigError("low_channels and seg_channels must be non-empty")
+        if min(*self.input_size, *(v for ws in self.low_channels for v in ws),
+               *self.seg_channels) < 1:
+            raise ConfigError("input size, channel widths and strides must be positive")
         s = self.dml_extra_stride
         if s < 1 or s & (s - 1):
             raise ConfigError(f"dml_extra_stride must be a power of two, got {s}")

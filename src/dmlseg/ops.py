@@ -134,8 +134,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * (x.data > 0))
+        x.accumulate_grad(g * (x.data > 0))
 
     push_node((x,), out, backward_fn)
     return out
@@ -164,8 +163,6 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         gpad = np.zeros((n, c, hp, wp), dtype=g.dtype)
         oh = np.arange(h_out)[:, None] * stride
         ow = np.arange(w_out)[None, :] * stride
@@ -175,10 +172,7 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
         cc = np.arange(c)[None, :, None, None]
         flat_idx = ((nn * c + cc) * hp + rows) * wp + cols
         np.add.at(gpad.reshape(-1), flat_idx.reshape(-1), g.reshape(-1))
-        if padding > 0:
-            x.accumulate_grad(gpad[:, :, padding:-padding, padding:-padding])
-        else:
-            x.accumulate_grad(gpad)
+        x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
 
     push_node((x,), out, backward_fn)
     return out
@@ -188,19 +182,12 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Replicate each cell into a factor x factor block."""
     if factor < 1:
         raise ConfigError(f"upsample_nearest: factor must be >= 1, got {factor}")
-    if factor == 1:
-        out_data = x.data.copy()
-    else:
-        out_data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
+    out_data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
     out = Tensor(out_data, requires_grad=x.requires_grad)
     n, c, h, w = x.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            if factor == 1:
-                x.accumulate_grad(g)
-            else:
-                x.accumulate_grad(g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
+        x.accumulate_grad(g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
 
     push_node((x,), out, backward_fn)
     return out
@@ -233,8 +220,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * c, requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * c)
+        x.accumulate_grad(g * c)
 
     push_node((x,), out, backward_fn)
     return out
@@ -245,8 +231,7 @@ def shift(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data + c, requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g)
+        x.accumulate_grad(g)
 
     push_node((x,), out, backward_fn)
     return out
@@ -257,8 +242,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum().reshape(1, 1, 1, 1), requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, g.reshape(())))
+        x.accumulate_grad(np.full_like(x.data, g.reshape(())))
 
     push_node((x,), out, backward_fn)
     return out

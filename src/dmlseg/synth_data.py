@@ -74,7 +74,7 @@ class SceneSpec:
                        num_classes=int(kv["num_classes"]), pools=pools,
                        shapes_min=int(kv["shapes_min"]), shapes_max=int(kv["shapes_max"]),
                        jitter=float(kv["jitter"]), noise=float(kv["noise"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ConfigError) as exc:
             raise DataError(f"bad scene spec: {exc}") from exc
 
 

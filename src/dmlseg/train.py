@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor
-from .checkpoint import save_model_checkpoint
+from .checkpoint import save_model_checkpoint, write_atomic
 from .errors import ConfigError, NumericError
 from .gt_gen import IGNORE, downsample_mask, multilabel_from_grid_mask
 from .losses import LossReport, multilabel_nll, softmax_nll, total_objective
@@ -40,8 +40,10 @@ class TrainConfig:
             raise ConfigError("iterations and batch_size must be positive")
         if not (0 <= self.momentum < 1):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0 or self.lr < 0:
-            raise ConfigError("lr and weight_decay must be non-negative")
+        if not (self.weight_decay >= 0 and self.lr >= 0 and self.lr_poly >= 0):
+            raise ConfigError("lr, weight_decay and lr_poly must be non-negative")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be non-negative, got {self.eval_every}")
 
 
 @dataclass
@@ -143,7 +145,7 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0:
                     save_model_checkpoint(ckpt_path, model)
         finally:
-            csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            write_atomic(csv_path, ("\n".join(rows) + "\n").encode("utf-8"))
 
         save_model_checkpoint(ckpt_path, model)
         return TrainResult(model=model, checkpoint_path=ckpt_path,
@@ -209,14 +211,13 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
         x_data = rng.random((batch, 3, h, w))
         masks = rng.integers(0, model_cfg.num_classes, size=(batch, h, w)).astype(np.uint8)
         masks[rng.random((batch, h, w)) < 0.05] = IGNORE
-        grids = np.stack([downsample_mask(m, model_cfg.s_low, model_cfg.num_classes)
-                          for m in masks])
-        levels = [multilabel_from_grid_mask(g, model_cfg) for g in grids]
-        y_mul = [np.stack([lv[j] for lv in levels]) for j in range(model_cfg.levels)]
+        grids, targets = prepare_targets(masks, model_cfg)
+        y_seg = np.stack(grids)
+        y_mul = [np.stack([t[j] for t in targets]) for j in range(model_cfg.levels)]
 
         x = Tensor(x_data)
         with record() as g:
-            total, _ = objective(model, x, grids, y_mul)
+            total, _ = objective(model, x, y_seg, y_mul)
         g.backward(total)
 
         per_layer: dict[str, float] = {}
@@ -229,9 +230,9 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = objective(model, x, grids, y_mul)[0].item()
+                hi = objective(model, x, y_seg, y_mul)[0].item()
                 flat[i] = orig - step
-                lo = objective(model, x, grids, y_mul)[0].item()
+                lo = objective(model, x, y_seg, y_mul)[0].item()
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * step)
             per_layer[p.name] = _rel_err(analytic, numeric)
@@ -255,7 +256,7 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
         f"momentum = {train_cfg.momentum!r}\nweight_decay = {train_cfg.weight_decay!r}\n"
         f"seed = {train_cfg.seed}\neval_every = {train_cfg.eval_every}\n"
         f"precision = {train_cfg.precision}\nrun_levels = {','.join(str(j) for j in levels)}\n")
-    (out / "experiment_config.txt").write_text(manifest, encoding="utf-8")
+    write_atomic(out / "experiment_config.txt", manifest.encode("utf-8"))
     rows = [EXPERIMENT_HEADER]
     eval_reports = []
     for j in levels:
@@ -267,5 +268,5 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
         rows.append(f"{j},{report.mean_iou:.6f},{report.mean_wrong_class:.6f},"
                     f"{report.mean_wrong_label:.6f}")
     csv_text = "\n".join(rows) + "\n"
-    (out / "experiment.csv").write_text(csv_text, encoding="utf-8")
+    write_atomic(out / "experiment.csv", csv_text.encode("utf-8"))
     return csv_text, eval_reports

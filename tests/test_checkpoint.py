@@ -8,9 +8,9 @@ from dmlseg.checkpoint import (load_container, load_gt_cache, load_model_checkpo
                                restore_model, save_container, save_gt_cache,
                                save_model_checkpoint)
 from dmlseg.errors import ConfigError, DataError
-from dmlseg.gt_gen import downsample_mask, gen_multilabel_gt
 from dmlseg.model import ModelConfig, build_model, forward
 from dmlseg.tensor import Tensor
+from dmlseg.train import prepare_targets
 
 
 def tiny_config(**kw):
@@ -131,11 +131,8 @@ def test_restore_shape_mismatch(tmp_path):
 def test_gt_cache_round_trip(tmp_path):
     cfg = tiny_config()
     rng = np.random.default_rng(4)
-    grids, targets = [], []
-    for _ in range(3):
-        mask = rng.integers(0, 4, size=(32, 32)).astype(np.uint8)
-        grids.append(downsample_mask(mask, cfg.s_low, cfg.num_classes))
-        targets.append(gen_multilabel_gt(mask, cfg))
+    masks = [rng.integers(0, 4, size=(32, 32)).astype(np.uint8) for _ in range(3)]
+    grids, targets = prepare_targets(masks, cfg)
     save_gt_cache(tmp_path / "gt.dmls", cfg, "abc123", grids, targets)
     g2, t2 = load_gt_cache(tmp_path / "gt.dmls", cfg, "abc123")
     assert len(g2) == 3
@@ -152,9 +149,7 @@ def _edited_gt_cache(tmp_path, edit):
     cfg = tiny_config()
     rng = np.random.default_rng(5)
     masks = [rng.integers(0, 4, size=(32, 32)).astype(np.uint8) for _ in range(4)]
-    grids = [downsample_mask(m, cfg.s_low, cfg.num_classes) for m in masks]
-    save_gt_cache(tmp_path / "gt.dmls", cfg, "h", grids,
-                  [gen_multilabel_gt(m, cfg) for m in masks])
+    save_gt_cache(tmp_path / "gt.dmls", cfg, "h", *prepare_targets(masks, cfg))
     header, arrays = load_container(tmp_path / "gt.dmls")
     edit(arrays)
     save_container(tmp_path / "gt.dmls", header, arrays)

@@ -1,8 +1,13 @@
+import dataclasses
+import shutil
+
 import pytest
 
 from dmlseg.checkpoint import load_container, save_container
 from dmlseg.cli import main
+from dmlseg.kv import parse_kv
 from dmlseg.synth_data import read_corpus, read_pgm, read_ppm
+from dmlseg.train import TrainConfig
 
 MODEL_FLAGS = ["--classes", "4", "--input-size", "32x32",
                "--low-channels", "8/2,8/2", "--seg-channels", "8,8",
@@ -72,12 +77,27 @@ def _narrow_seg_proj_weight(header, arrays):
     _drop_seg_proj_bias,
     _narrow_seg_proj_weight,
     lambda header, arrays: header.replace("window_sizes = 5,3,1", "window_sizes = 6,3,1"),
-], ids=["missing-entry", "wrong-shape", "even-window"])
+    lambda header, arrays: header.replace("low_channels = 8/2,8/2", "low_channels = 8/0,8/2"),
+    lambda header, arrays: header.replace("lambda = 1.0", "lambda = nan"),
+], ids=["missing-entry", "wrong-shape", "even-window", "zero-stride", "nan-lambda"])
 def test_eval_malformed_checkpoint_exits_2(edit, run_dir, corpus_dir, tmp_path, capsys):
     header, arrays = load_container(run_dir / "checkpoint.dmls")
     bad = tmp_path / "bad.dmls"
     save_container(bad, edit(header, arrays), arrays)
     assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_dir)]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, bad)
+    manifest = bad / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    assert "\nshapes_min = 3\n" in text
+    manifest.write_text(text.replace("\nshapes_min = 3\n", "\nshapes_min = -3\n"),
+                        encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
+                 "--corpus", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
 
 
@@ -189,15 +209,26 @@ def test_experiment_command(corpus_dir, tmp_path, capsys):
 
 
 def test_experiment_config_file_reproduces_experiment(corpus_dir, tmp_path, capsys):
+    # every TrainConfig field away from its default, so a field the replay
+    # file leaves out shows up as a missing key or as different bytes
+    train_flags = {"iterations": "2", "batch_size": "4", "momentum": "0.8",
+                   "weight_decay": "0.001", "lr": "0.05", "seed": "3",
+                   "eval_every": "1", "precision": "check64", "lr_poly": "0.9"}
+    fields = dataclasses.fields(TrainConfig)
+    assert {f.name for f in fields} == train_flags.keys()
+    assert all(str(f.default) != train_flags[f.name] for f in fields)
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["experiment", "--corpus", str(corpus_dir), "--out", str(first),
-                 *MODEL_FLAGS, "--iterations", "2", "--batch-size", "4",
-                 "--lr", "0.05", "--run-levels", "0,2", "--seed", "3"]) == 0
+                 *MODEL_FLAGS, "--run-levels", "0,2",
+                 *(a for k, v in train_flags.items()
+                   for a in (f"--{k.replace('_', '-')}", v))]) == 0
+    replay = (first / "experiment_config.txt").read_text(encoding="utf-8")
+    assert train_flags.items() <= parse_kv(replay).items()
     assert main(["experiment", "--corpus", str(corpus_dir), "--out", str(second),
                  "--config", str(first / "experiment_config.txt")]) == 0
-    assert (second / "experiment.csv").read_bytes() == (first / "experiment.csv").read_bytes()
-    assert (second / "experiment_config.txt").read_bytes() == \
-        (first / "experiment_config.txt").read_bytes()
+    for name in ("experiment.csv", "experiment_config.txt",
+                 "level0/checkpoint.dmls", "level2/checkpoint.dmls"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_experiment_config_file_replays_check64_checkpoints(corpus_dir, tmp_path, capsys):
@@ -263,9 +294,19 @@ def test_describe_command(capsys):
     (["describe"], "levles = 0\n"),
     (["describe"], "junk line\n"),
     (["describe"], "levels = \xff\n"),
+    (["describe", "--low-channels", "8/0"], ""),
+    (["describe", "--seg-channels", "0,8"], ""),
+    (["describe", "--input-size", "0x0"], ""),
+    (["describe", "--lambda", "nan"], ""),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
+      "--eval-every", "-1"], ""),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
+      "--lr-poly", "-1"], ""),
 ], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
-        "run-levels", "unknown-key", "line-without-equals", "non-utf8"])
+        "run-levels", "unknown-key", "line-without-equals", "non-utf8",
+        "zero-stride", "zero-width", "zero-input-size", "nan-lambda",
+        "negative-eval-every", "negative-lr-poly"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(cfg_text, encoding="latin-1")  # "\xff" becomes a non-UTF-8 byte

@@ -3,8 +3,9 @@ import pytest
 
 from dmlseg.errors import ConfigError, DataError
 from dmlseg.gt_gen import (IGNORE, binarize_channels, dilate_window, downsample_mask,
-                           effective_window, gen_multilabel_gt)
+                           effective_window)
 from dmlseg.model import ModelConfig
+from dmlseg.train import prepare_targets
 
 from reference import dilate_loops
 
@@ -117,11 +118,16 @@ class TestDownsample:
         assert np.array_equal(downsample_mask(mask, 1, 4), mask)
 
 
+def targets_of(mask, cfg):
+    """Per-level presence targets of one full-size mask."""
+    return prepare_targets([mask], cfg)[1][0]
+
+
 class TestMultilabelGt:
     def test_uniform_mask_all_levels(self):
         cfg = desk_config()
         mask = np.full((32, 32), 2, dtype=np.uint8)
-        targets = gen_multilabel_gt(mask, cfg)
+        targets = targets_of(mask, cfg)
         assert len(targets) == 3
         for t in targets:
             assert t.shape == (4, 4, 4)
@@ -139,7 +145,7 @@ class TestMultilabelGt:
         cfg = desk_config()
         rng = np.random.default_rng(5)
         mask = rng.integers(0, 4, size=(32, 32)).astype(np.uint8)
-        big, mid, small = gen_multilabel_gt(mask, cfg)
+        big, mid, small = targets_of(mask, cfg)
         assert np.all(big >= mid)
         assert np.all(mid >= small)
 
@@ -150,7 +156,7 @@ class TestMultilabelGt:
         rng = np.random.default_rng(6)
         mask = rng.integers(0, 4, size=(32, 32)).astype(np.uint8)
         grid = downsample_mask(mask, cfg.s_low, cfg.num_classes)
-        targets = gen_multilabel_gt(mask, cfg)
+        targets = targets_of(mask, cfg)
         s = cfg.dml_extra_stride
         for level, wj in enumerate(cfg.window_sizes):
             eff = effective_window(wj, s)
@@ -171,4 +177,4 @@ class TestMultilabelGt:
     def test_indivisible_mask_rejected(self):
         cfg = desk_config()
         with pytest.raises(ConfigError, match="divisible"):
-            gen_multilabel_gt(np.zeros((30, 32), dtype=np.uint8), cfg)
+            targets_of(np.zeros((30, 32), dtype=np.uint8), cfg)

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,27 @@ def test_divergence_aborts_with_iteration_and_keeps_artifacts(corpus, tmp_path):
         train(corpus, tiny_model_config(), tcfg, tmp_path / "run")
     assert (tmp_path / "run" / "checkpoint.dmls").exists()  # last good one
     assert (tmp_path / "run" / "loss.csv").exists()
+
+
+def test_failed_loss_csv_write_keeps_previous_file(corpus, tmp_path, monkeypatch):
+    tcfg = TrainConfig(iterations=2, batch_size=4, lr=0.05, seed=1)
+    run = tmp_path / "run"
+    train(corpus, tiny_model_config(), tcfg, run)
+    before = (run / "loss.csv").read_bytes()
+    write_bytes = Path.write_bytes
+
+    def torn_write(self, data):
+        if self.name != "loss.csv.tmp":
+            return write_bytes(self, data)
+        with open(self, "wb") as f:
+            f.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        train(corpus, tiny_model_config(), dataclasses.replace(tcfg, iterations=3), run)
+    assert (run / "loss.csv").read_bytes() == before
+    assert sorted(p.name for p in run.iterdir()) == ["checkpoint.dmls", "loss.csv"]
 
 
 def test_evaluate_does_not_mutate_parameters(corpus, tmp_path):
