@@ -142,6 +142,8 @@ def _cmd_gen_data(args) -> int:
     kv = _merged(args, {"n_train": "500", "n_val": "100"})
     try:
         n_train, n_val = int(kv["n_train"]), int(kv["n_val"])
+        if min(n_train, n_val) < 0:
+            raise ConfigError(f"scene counts must be non-negative, got {n_train} and {n_val}")
         num_classes = int(kv.get("num_classes", SceneSpec.num_classes))
         scene = {**SceneSpec(seed=0, num_classes=num_classes).to_kv(), **kv}
         scene["size"] = kv.get("input_size", scene["size"])

@@ -274,39 +274,54 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
 
 
 def forward(model: Model, image: Tensor, trace: dict | None = None) -> NetworkOutput:
-    """Run the network; p is always the elementwise sum of the head outputs."""
+    """Run the network; p is always the elementwise sum of the head outputs.
+
+    `trace`, when given, memoises each block's output: `o` (the trunk), `s`
+    (the seg head) and, for head j counted from 0, `prepool{j}`, `pooled{j}`,
+    `m{j}` and its upsampled copy `m_up{j}`.  A block whose entry is already
+    there is not run; its stored output is used.  Any other block is run and
+    its entries stored.  Entries are only valid for the same image and the
+    same values of the parameters at and upstream of their block, so a
+    caller that changes a parameter drops those entries (a head's entries
+    together).  The fuse always runs in its left-to-right order, so the
+    result is bit-identical to a forward from an empty dict.  A reused
+    output is not on the current tape, so no gradient reaches its block.
+    """
     cfg = model.config
     n, c, h, w = image.shape
     if c != 3 or (h, w) != cfg.input_size:
         raise ConfigError(f"image shape {image.shape} does not match configured "
                           f"input (N, 3, {cfg.input_size[0]}, {cfg.input_size[1]})")
+    memo = {} if trace is None else trace
 
-    x = shift(image, -0.5)  # center [0,1] inputs for first-layer conditioning
-    for layer in model.low:
-        x = layer(x)
-    o = x
+    if "o" not in memo:
+        x = shift(image, -0.5)  # center [0,1] inputs for first-layer conditioning
+        for layer in model.low:
+            x = layer(x)
+        memo["o"] = x
+    o = memo["o"]
 
-    s = o
-    for layer in model.seg:
-        s = layer(s)
-    s = model.seg_proj(s)
+    if "s" not in memo:
+        s = o
+        for layer in model.seg:
+            s = layer(s)
+        memo["s"] = model.seg_proj(s)
+    s = memo["s"]
 
-    m_list: list[Tensor] = []
-    m_up: list[Tensor] = []
     for j, block in enumerate(model.dml):
+        if f"m{j}" in memo:
+            continue
         t = o
         for layer in block.stage:
             t = layer(t)
-        t = block.proj(t)
-        if trace is not None:
-            trace[f"prepool{j}"] = t
-        t = maxpool2d(t, kernel=block.window, stride=1, padding=(block.window - 1) // 2)
-        if trace is not None:
-            trace[f"pooled{j}"] = t
-        t = block.adapt(t)
-        m_list.append(t)
-        m_up.append(upsample_nearest(t, cfg.dml_extra_stride))
+        t = memo[f"prepool{j}"] = block.proj(t)
+        t = memo[f"pooled{j}"] = maxpool2d(t, kernel=block.window, stride=1,
+                                           padding=(block.window - 1) // 2)
+        t = memo[f"m{j}"] = block.adapt(t)
+        memo[f"m_up{j}"] = upsample_nearest(t, cfg.dml_extra_stride)
 
+    m_list = [memo[f"m{j}"] for j in range(cfg.levels)]
+    m_up = [memo[f"m_up{j}"] for j in range(cfg.levels)]
     p = elementwise_sum([s] + m_up)
     return NetworkOutput(s=s, m=m_list, m_up=m_up, p=p)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import colorsys
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +52,12 @@ class SceneSpec:
             raise ConfigError(f"pools {self.pools} must partition 1..{self.num_classes - 1}")
         if not (0 <= self.shapes_min <= self.shapes_max):
             raise ConfigError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
+        if min(self.size) < 1:
+            raise ConfigError(f"scene size must be positive, got {self.size}")
+        for name in ("jitter", "noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
     def to_kv(self) -> dict[str, str]:
         return {

@@ -72,12 +72,23 @@ def _precision(mode: str):
         tensor.set_precision(prev_mode)
 
 
-def objective(model: Model, x: Tensor, y_seg: np.ndarray,
-              y_mul: list[np.ndarray]) -> tuple[Tensor, LossReport]:
+def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: list[np.ndarray],
+              cache: dict | None = None) -> tuple[Tensor, LossReport]:
     """Forward pass plus the joint loss: softmax NLL of the fused scores and
-    lambda times one presence loss per DML level."""
-    net = forward(model, x)
-    l_mul = [multilabel_nll(net.m[j], y_mul[j]) for j in range(model.config.levels)]
+    lambda times one presence loss per DML level.
+
+    `cache` is handed to `forward` as its memo of block outputs, and also
+    memoises level j's presence loss (j from 0) under `l_mul{j}`.  The
+    softmax loss and the total always run, so with entries from the same
+    inputs and parameters the loss is bit-identical to a full recompute.
+    """
+    memo = {} if cache is None else cache
+    net = forward(model, x, memo)
+    l_mul = []
+    for j in range(model.config.levels):
+        if f"l_mul{j}" not in memo:
+            memo[f"l_mul{j}"] = multilabel_nll(net.m[j], y_mul[j])
+        l_mul.append(memo[f"l_mul{j}"])
     l_seg = softmax_nll(net.p, y_seg)
     return total_objective(l_seg, l_mul, model.config.lam)
 
@@ -193,10 +204,32 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray, abs_floor=1e-8) -> float
     return float(rel.max()) if rel.size else 0.0
 
 
+def _unaffected(memo: dict, param: str) -> dict:
+    """The entries of an objective memo that do not depend on `param`: a
+    seg-head parameter invalidates `s`, one of head dml{j+1} that head's
+    entries and its presence loss, and a trunk parameter everything."""
+    block = param.split(".")[0]
+    if block == "seg":
+        stale = {"s"}
+    elif block.startswith("dml"):
+        j = int(block[3:]) - 1
+        stale = {f"{key}{j}" for key in ("prepool", "pooled", "m", "m_up", "l_mul")}
+    else:
+        return {}
+    return {k: v for k, v in memo.items() if k not in stale}
+
+
 def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
                step: float = 1e-5, seed: int = 0) -> GradCheckReport:
     """Compare every parameter gradient of the full objective against
-    central finite differences on one small random batch (64-bit)."""
+    central finite differences on one small random batch (64-bit).
+
+    The recorded pass fills one `objective` memo; each finite-difference
+    evaluation starts from a copy of it without the entries downstream of
+    the perturbed parameter, so only that block, its losses and the fuse are
+    recomputed.  Every evaluation still makes one `forward` call, and every
+    value is bit-identical to a full recompute.
+    """
     with _precision("check64"):
         model = build_model(model_cfg, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
@@ -216,12 +249,14 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
         y_mul = [np.stack([t[j] for t in targets]) for j in range(model_cfg.levels)]
 
         x = Tensor(x_data)
+        memo: dict = {}
         with record() as g:
-            total, _ = objective(model, x, y_seg, y_mul)
+            total, _ = objective(model, x, y_seg, y_mul, memo)
         g.backward(total)
 
         per_layer: dict[str, float] = {}
         for p in model.parameters():
+            kept = _unaffected(memo, p.name)
             analytic = p.tensor.grad.copy()
             numeric = np.zeros_like(analytic)
             data = p.tensor.data
@@ -230,9 +265,9 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = objective(model, x, y_seg, y_mul)[0].item()
+                hi = objective(model, x, y_seg, y_mul, dict(kept))[0].item()
                 flat[i] = orig - step
-                lo = objective(model, x, y_seg, y_mul)[0].item()
+                lo = objective(model, x, y_seg, y_mul, dict(kept))[0].item()
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * step)
             per_layer[p.name] = _rel_err(analytic, numeric)

@@ -93,12 +93,12 @@ def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
     shutil.copytree(corpus_dir, bad)
     manifest = bad / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    assert "\nshapes_min = 3\n" in text
-    manifest.write_text(text.replace("\nshapes_min = 3\n", "\nshapes_min = -3\n"),
-                        encoding="utf-8")
-    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
-                 "--corpus", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+    for line, edited in (("shapes_min = 3", "shapes_min = -3"), ("jitter = 0.08", "jitter = -1")):
+        assert f"\n{line}\n" in text
+        manifest.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
+                     "--corpus", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_predict_writes_label_and_color_maps(run_dir, corpus_dir, tmp_path):
@@ -302,11 +302,17 @@ def test_describe_command(capsys):
       "--eval-every", "-1"], ""),
     (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
       "--lr-poly", "-1"], ""),
+    (["gen-data", "--out", "{out}", "--train", "-2"], ""),
+    (["gen-data", "--out", "{out}", "--input-size", "0x0"], ""),
+    (["gen-data", "--out", "{out}"], "jitter = -1\n"),
+    (["gen-data", "--out", "{out}"], "noise = -0.5\n"),
+    (["gen-data", "--out", "{out}"], "noise = nan\n"),
 ], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
         "run-levels", "unknown-key", "line-without-equals", "non-utf8",
         "zero-stride", "zero-width", "zero-input-size", "nan-lambda",
-        "negative-eval-every", "negative-lr-poly"])
+        "negative-eval-every", "negative-lr-poly", "negative-n-train",
+        "zero-scene-size", "negative-jitter", "negative-noise", "nan-noise"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(cfg_text, encoding="latin-1")  # "\xff" becomes a non-UTF-8 byte

@@ -174,6 +174,31 @@ class TestForward:
                     window_max = pre[:, :, y0:y1, x0:x1].max(axis=(2, 3))
                     assert np.all(pooled[:, :, y, x] >= window_max - 1e-6)
 
+    def test_memo_reuses_blocks_bit_for_bit(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(9)
+        model = build_model(cfg, seed=0)
+        for p in model.parameters():
+            p.tensor.data += rng.normal(scale=0.1, size=p.tensor.shape).astype(
+                p.tensor.data.dtype)
+        x = Tensor(rng.random((2, 3, 32, 32)))
+        memo = {}
+        full = forward(model, x, memo)
+        again = forward(model, x, dict(memo))
+        assert np.array_equal(again.p.data, full.p.data)
+        assert again.fusion_gap() == 0.0
+
+        model.params["dml2.stage0.weight"].tensor.data[0, 0, 0, 0] += 0.25
+        kept = {k: v for k, v in memo.items()
+                if k not in ("prepool1", "pooled1", "m1", "m_up1")}
+        partial = forward(model, x, kept)
+        fresh = forward(model, x)
+        assert not np.array_equal(fresh.p.data, full.p.data)
+        assert np.array_equal(partial.p.data, fresh.p.data)
+        for a, b in zip(partial.m, fresh.m):
+            assert np.array_equal(a.data, b.data)
+        assert kept["o"] is memo["o"] and kept["m0"] is memo["m0"]
+
     def test_wrong_input_shape_raises(self):
         model = build_model(tiny_config(), seed=0)
         with pytest.raises(ConfigError, match="image shape"):

@@ -54,6 +54,13 @@ class TestGenerateScene:
         with pytest.raises(ConfigError, match="partition"):
             SceneSpec(seed=0, num_classes=8, pools=((1, 2), (4, 5, 6, 7)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("size", (0, 0)), ("size", (32, -1)), ("jitter", -1.0), ("jitter", float("inf")),
+        ("noise", -0.5), ("noise", float("nan"))])
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            SceneSpec(seed=0, **{field: value})
+
 
 class TestNetpbm:
     def test_ppm_round_trip(self, tmp_path):

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dmlseg.train as train_module
 from dmlseg import tensor
 from dmlseg.checkpoint import load_container
 from dmlseg.errors import ConfigError
-from dmlseg.model import ModelConfig
+from dmlseg.model import ModelConfig, build_model
 from dmlseg.synth_data import SceneSpec, write_corpus
 from dmlseg.train import (TrainConfig, evaluate, grad_check, run_experiment, train)
 
@@ -52,7 +53,6 @@ def test_zero_lr_keeps_parameters_bitwise(corpus, tmp_path):
     for p, q in zip(one.model.parameters(), fresh.model.parameters()):
         assert np.array_equal(p.tensor.data, q.tensor.data)
     # and equal to a freshly initialized model: lr 0 never moves weights
-    from dmlseg.model import build_model
     init = build_model(mcfg, seed=5)
     for p, q in zip(one.model.parameters(), init.parameters()):
         assert np.array_equal(p.tensor.data, q.tensor.data)
@@ -145,7 +145,6 @@ def test_evaluate_does_not_mutate_parameters(corpus, tmp_path):
 
 
 def test_untrained_model_scores_near_chance(corpus):
-    from dmlseg.model import build_model
     model = build_model(tiny_model_config(), seed=13)
     report = evaluate(model, corpus, "val")
     k = 4
@@ -175,6 +174,38 @@ def test_grad_check_baseline_levels_zero():
     cfg = tiny_model_config(levels=0, window_sizes=())
     report = grad_check(cfg, 1e-4, seed=1)
     assert report.passed, f"max rel err {report.max_rel_err}"
+
+
+def _fd_config(levels):
+    return ModelConfig(num_classes=3, input_size=(16, 16), low_channels=((2, 2),),
+                       seg_channels=(2, 2), window_sizes=(5, 3, 1)[:levels], levels=levels)
+
+
+@pytest.mark.parametrize("levels", [3, 0])
+def test_grad_check_memo_is_bit_identical_to_full_recompute(levels, monkeypatch):
+    memoised = [grad_check(_fd_config(levels), 1e-4, seed=s).per_layer for s in range(3)]
+    objective = train_module.objective
+    monkeypatch.setattr(train_module, "objective",
+                        lambda model, x, y_seg, y_mul, cache=None:
+                        objective(model, x, y_seg, y_mul))
+    full = [grad_check(_fd_config(levels), 1e-4, seed=s).per_layer for s in range(3)]
+    assert memoised == full
+    assert all(v > 0.0 for per_layer in full for v in per_layer.values())
+
+
+def test_grad_check_calls_forward_once_per_evaluation(monkeypatch):
+    cfg = _fd_config(3)
+    calls = []
+    forward = train_module.forward
+
+    def counting_forward(model, image, trace=None):
+        calls.append(model)
+        return forward(model, image, trace)
+
+    monkeypatch.setattr(train_module, "forward", counting_forward)
+    grad_check(cfg, 1e-4, seed=0)
+    n_params = sum(p.tensor.size for p in build_model(cfg).parameters())
+    assert len(calls) == 1 + 2 * n_params
 
 
 def test_experiment_structure_and_determinism(corpus, tmp_path):
