@@ -22,8 +22,7 @@ from .model import Model, ModelConfig, build_model
 
 MAGIC = b"DMLS"
 VERSION = 1
-_DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
-_TAG_FOR_KIND = {"f4": 0, "f8": 1, "u1": 2}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("u1"))  # stored dtype by tag
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -50,15 +49,14 @@ def save_container(path: Path, header: str, arrays: dict[str, np.ndarray]) -> No
     for name, arr in arrays.items():
         if arr.ndim != 4:
             raise ConfigError(f"container entries are rank-4, {name} has shape {arr.shape}")
-        kind = {("f", 4): "f4", ("f", 8): "f8", ("u", 1): "u1"}.get(
-            (arr.dtype.kind, arr.dtype.itemsize))
-        if kind is None:
+        dt = arr.dtype.newbyteorder("<")
+        if dt not in _DTYPES:
             raise ConfigError(f"unsupported dtype {arr.dtype} for entry {name}")
         name_bytes = name.encode("utf-8")
         blob += struct.pack("<I", len(name_bytes)) + name_bytes
-        blob += struct.pack("<B", _TAG_FOR_KIND[kind])
+        blob += struct.pack("<B", _DTYPES.index(dt))
         blob += struct.pack("<4I", *arr.shape)
-        blob += np.ascontiguousarray(arr, dtype=f"<{kind}").tobytes()
+        blob += np.ascontiguousarray(arr, dtype=dt).tobytes()
     write_atomic(path, bytes(blob))
 
 
@@ -94,10 +92,10 @@ def load_container(path: Path) -> tuple[str, dict[str, np.ndarray]]:
         (nlen,) = struct.unpack("<I", take(4, f"entry {i} name length"))
         name = text(nlen, f"entry {i} name")
         (tag,) = struct.unpack("<B", take(1, f"entry {name} dtype tag"))
-        if tag not in _DTYPE_TAGS:
+        if tag >= len(_DTYPES):
             raise DataError(f"{path}: unknown dtype tag {tag} for {name}")
         dims = struct.unpack("<4I", take(16, f"entry {name} dims"))
-        dt = _DTYPE_TAGS[tag]
+        dt = _DTYPES[tag]
         raw = take(math.prod(dims) * dt.itemsize, f"entry {name}")
         arrays[name] = np.frombuffer(raw, dtype=dt).reshape(dims).copy()
     if pos != len(data):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -123,14 +122,6 @@ def _model_config(kv: dict[str, str]) -> ModelConfig:
         raise ConfigError(f"bad model option: {exc}") from exc
 
 
-def _train_config(kv: dict[str, str]) -> TrainConfig:
-    types = typing.get_type_hints(TrainConfig)
-    try:
-        return TrainConfig(**{k: types[k](kv[k]) for k in types if k in kv})
-    except ValueError as exc:
-        raise ConfigError(f"bad training option: {exc}") from exc
-
-
 def _seed(kv: dict[str, str]) -> int:
     try:
         return int(kv.get("seed", "0"))
@@ -169,7 +160,7 @@ def _cmd_train(args) -> int:
     corpus = read_corpus(args.corpus)
     kv = _merged(args, MODEL_DEFAULTS)
     model_cfg = _model_config(kv)
-    train_cfg = _train_config(kv)
+    train_cfg = TrainConfig.from_kv(kv)
     grids = targets = None
     if args.gt_cache is not None:
         all_grids, all_targets = load_gt_cache(args.gt_cache, model_cfg,
@@ -189,6 +180,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _file_kv(args)  # nothing to read from it, but a bad file is still an error
     model = load_model_checkpoint(args.checkpoint)
     corpus = read_corpus(args.corpus)
     report = evaluate(model, corpus, args.split)
@@ -199,6 +191,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _file_kv(args)  # nothing to read from it, but a bad file is still an error
     model = load_model_checkpoint(args.checkpoint)
     image = read_ppm(args.image)
     x = Tensor(image[None])
@@ -230,7 +223,7 @@ def _cmd_experiment(args) -> int:
     corpus = read_corpus(args.corpus)
     kv = _merged(args, {**MODEL_DEFAULTS, "run_levels": "0,1,2,3"})
     base_cfg = _model_config(kv)
-    train_cfg = _train_config(kv)
+    train_cfg = TrainConfig.from_kv(kv)
     try:
         levels = tuple(int(v) for v in kv["run_levels"].split(","))
     except ValueError as exc:

@@ -98,10 +98,8 @@ def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
 def total_objective(l_seg: Tensor, l_mul: Sequence[Tensor],
                     lam: float) -> tuple[Tensor, LossReport]:
     """total = l_seg + lam * sum(l_mul), kept on the tape for backward."""
-    if l_mul:
-        total = elementwise_sum([l_seg, scale(elementwise_sum(list(l_mul)), lam)])
-    else:
-        total = scale(l_seg, 1.0)
+    total = (elementwise_sum([l_seg, scale(elementwise_sum(list(l_mul)), lam)])
+             if l_mul else l_seg)
     report = LossReport(
         l_seg=l_seg.item(),
         l_mul=[t.item() for t in l_mul],

@@ -273,57 +273,54 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     return Model(config, params, low, seg, seg_proj, dml)
 
 
-def forward(model: Model, image: Tensor, trace: dict | None = None) -> NetworkOutput:
+def forward(model: Model, image: Tensor, memo: dict | None = None) -> NetworkOutput:
     """Run the network; p is always the elementwise sum of the head outputs.
 
-    `trace`, when given, memoises each block's output: `o` (the trunk), `s`
-    (the seg head) and, for head j counted from 0, `prepool{j}`, `pooled{j}`,
-    `m{j}` and its upsampled copy `m_up{j}`.  A block whose entry is already
-    there is not run; its stored output is used.  Any other block is run and
-    its entries stored.  Entries are only valid for the same image and the
-    same values of the parameters at and upstream of their block, so a
-    caller that changes a parameter drops those entries (a head's entries
-    together).  The fuse always runs in its left-to-right order, so the
-    result is bit-identical to a forward from an empty dict.  A reused
-    output is not on the current tape, so no gradient reaches its block.
+    `memo`, when given, holds block outputs under the blocks' parameter-name
+    prefixes: `low` (the trunk), `seg` (the seg head) and `dml{j}` (head j's
+    `(m, m_up)` pair, j from 1).  A block whose entry is there is not run;
+    any other block is run and its entry stored.  An entry is valid only for
+    the same image and the same parameters in its block and the trunk.  The
+    fuse always runs left to right, so the result is bit-identical to a
+    forward from an empty dict.  A reused output is not on the current tape,
+    so no gradient reaches its block.
     """
     cfg = model.config
     n, c, h, w = image.shape
     if c != 3 or (h, w) != cfg.input_size:
         raise ConfigError(f"image shape {image.shape} does not match configured "
                           f"input (N, 3, {cfg.input_size[0]}, {cfg.input_size[1]})")
-    memo = {} if trace is None else trace
+    memo = {} if memo is None else memo
 
-    if "o" not in memo:
+    if "low" not in memo:
         x = shift(image, -0.5)  # center [0,1] inputs for first-layer conditioning
         for layer in model.low:
             x = layer(x)
-        memo["o"] = x
-    o = memo["o"]
+        memo["low"] = x
+    o = memo["low"]
 
-    if "s" not in memo:
+    if "seg" not in memo:
         s = o
         for layer in model.seg:
             s = layer(s)
-        memo["s"] = model.seg_proj(s)
-    s = memo["s"]
+        memo["seg"] = model.seg_proj(s)
+    s = memo["seg"]
 
-    for j, block in enumerate(model.dml):
-        if f"m{j}" in memo:
+    for j, block in enumerate(model.dml, start=1):
+        if f"dml{j}" in memo:
             continue
         t = o
         for layer in block.stage:
             t = layer(t)
-        t = memo[f"prepool{j}"] = block.proj(t)
-        t = memo[f"pooled{j}"] = maxpool2d(t, kernel=block.window, stride=1,
-                                           padding=(block.window - 1) // 2)
-        t = memo[f"m{j}"] = block.adapt(t)
-        memo[f"m_up{j}"] = upsample_nearest(t, cfg.dml_extra_stride)
+        t = maxpool2d(block.proj(t), kernel=block.window, stride=1,
+                      padding=(block.window - 1) // 2)
+        m = block.adapt(t)
+        memo[f"dml{j}"] = m, upsample_nearest(m, cfg.dml_extra_stride)
 
-    m_list = [memo[f"m{j}"] for j in range(cfg.levels)]
-    m_up = [memo[f"m_up{j}"] for j in range(cfg.levels)]
-    p = elementwise_sum([s] + m_up)
-    return NetworkOutput(s=s, m=m_list, m_up=m_up, p=p)
+    heads = [memo[f"dml{j}"] for j in range(1, cfg.levels + 1)]
+    m_up = [up for _, up in heads]
+    return NetworkOutput(s=s, m=[m for m, _ in heads], m_up=m_up,
+                         p=elementwise_sum([s] + m_up))
 
 
 def predict_labels(p, full_size: tuple[int, int]) -> np.ndarray:
@@ -335,11 +332,7 @@ def predict_labels(p, full_size: tuple[int, int]) -> np.ndarray:
     n, h, w = labels.shape
     if fh % h or fw % w:
         raise ConfigError(f"full size {full_size} not a multiple of grid {h}x{w}")
-    if fh // h > 1:
-        labels = np.repeat(labels, fh // h, axis=1)
-    if fw // w > 1:
-        labels = np.repeat(labels, fw // w, axis=2)
-    return labels
+    return np.repeat(np.repeat(labels, fh // h, axis=1), fw // w, axis=2)
 
 
 def describe(model: Model) -> str:

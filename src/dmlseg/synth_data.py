@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
 from .gt_gen import IGNORE
 from .kv import parse_kv
@@ -280,7 +281,7 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
     lines.append(f"n_val = {n_val}")
     lines.append(f"hash = {content_hash}")
     lines += [f"{split}\t{img}\t{msk}" for split, img, msk in entries]
-    (root / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(root / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))
     return Corpus(root=root, spec=spec, entries=entries, content_hash=content_hash)
 
 

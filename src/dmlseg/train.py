@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,20 @@ class TrainConfig:
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be non-negative, got {self.eval_every}")
 
+    def to_text(self) -> str:
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n"
+                       for f in dataclasses.fields(self))
+
+    @classmethod
+    def from_kv(cls, kv: dict[str, str]) -> "TrainConfig":
+        """Parse the fields present in `kv`; other keys are ignored and an
+        absent optional field takes its default."""
+        types = typing.get_type_hints(cls)
+        try:
+            return cls(**{k: types[k](kv[k]) for k in types if k in kv})
+        except ValueError as exc:
+            raise ConfigError(f"bad training option: {exc}") from exc
+
 
 @dataclass
 class TrainResult:
@@ -73,22 +88,23 @@ def _precision(mode: str):
 
 
 def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: list[np.ndarray],
-              cache: dict | None = None) -> tuple[Tensor, LossReport]:
+              memo: dict | None = None) -> tuple[Tensor, LossReport]:
     """Forward pass plus the joint loss: softmax NLL of the fused scores and
     lambda times one presence loss per DML level.
 
-    `cache` is handed to `forward` as its memo of block outputs, and also
-    memoises level j's presence loss (j from 0) under `l_mul{j}`.  The
+    `memo` is handed to `forward` as its memo of block outputs, and also
+    holds head j's presence loss (j from 1) under `dml{j}.loss`.  The
     softmax loss and the total always run, so with entries from the same
     inputs and parameters the loss is bit-identical to a full recompute.
     """
-    memo = {} if cache is None else cache
+    memo = {} if memo is None else memo
     net = forward(model, x, memo)
     l_mul = []
-    for j in range(model.config.levels):
-        if f"l_mul{j}" not in memo:
-            memo[f"l_mul{j}"] = multilabel_nll(net.m[j], y_mul[j])
-        l_mul.append(memo[f"l_mul{j}"])
+    for j, m in enumerate(net.m, start=1):
+        key = f"dml{j}.loss"
+        if key not in memo:
+            memo[key] = multilabel_nll(m, y_mul[j - 1])
+        l_mul.append(memo[key])
     l_seg = softmax_nll(net.p, y_seg)
     return total_objective(l_seg, l_mul, model.config.lam)
 
@@ -205,18 +221,15 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray, abs_floor=1e-8) -> float
 
 
 def _unaffected(memo: dict, param: str) -> dict:
-    """The entries of an objective memo that do not depend on `param`: a
-    seg-head parameter invalidates `s`, one of head dml{j+1} that head's
-    entries and its presence loss, and a trunk parameter everything."""
-    block = param.split(".")[0]
-    if block == "seg":
-        stale = {"s"}
-    elif block.startswith("dml"):
-        j = int(block[3:]) - 1
-        stale = {f"{key}{j}" for key in ("prepool", "pooled", "m", "m_up", "l_mul")}
-    else:
+    """The entries of an objective memo that do not depend on `param`.
+
+    Memo keys and parameter names share their block prefix (`low`, `seg`,
+    `dml{j}`): a trunk parameter invalidates everything, any other
+    parameter the entries of its own block."""
+    block = param.partition(".")[0]
+    if block == "low":
         return {}
-    return {k: v for k, v in memo.items() if k not in stale}
+    return {k: v for k, v in memo.items() if k.partition(".")[0] != block}
 
 
 def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
@@ -285,12 +298,8 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     corpus and schedule; returns the comparison CSV text."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = base_cfg.to_text() + (
-        f"iterations = {train_cfg.iterations}\nbatch_size = {train_cfg.batch_size}\n"
-        f"lr = {train_cfg.lr!r}\nlr_poly = {train_cfg.lr_poly!r}\n"
-        f"momentum = {train_cfg.momentum!r}\nweight_decay = {train_cfg.weight_decay!r}\n"
-        f"seed = {train_cfg.seed}\neval_every = {train_cfg.eval_every}\n"
-        f"precision = {train_cfg.precision}\nrun_levels = {','.join(str(j) for j in levels)}\n")
+    manifest = (base_cfg.to_text() + train_cfg.to_text()
+                + f"run_levels = {','.join(str(j) for j in levels)}\n")
     write_atomic(out / "experiment_config.txt", manifest.encode("utf-8"))
     rows = [EXPERIMENT_HEADER]
     eval_reports = []

@@ -307,15 +307,29 @@ def test_describe_command(capsys):
     (["gen-data", "--out", "{out}"], "jitter = -1\n"),
     (["gen-data", "--out", "{out}"], "noise = -0.5\n"),
     (["gen-data", "--out", "{out}"], "noise = nan\n"),
+    (["eval", "--checkpoint", "{ckpt}", "--corpus", "{corpus}"], "levles = 0\n"),
+    (["eval", "--checkpoint", "{ckpt}", "--corpus", "{corpus}"], "junk line\n"),
+    (["eval", "--checkpoint", "{ckpt}", "--corpus", "{corpus}"], None),
+    (["predict", "--checkpoint", "{ckpt}", "--image", "{image}", "--out", "{out}"],
+     "levles = 0\n"),
+    (["predict", "--checkpoint", "{ckpt}", "--image", "{image}", "--out", "{out}"],
+     "junk line\n"),
+    (["predict", "--checkpoint", "{ckpt}", "--image", "{image}", "--out", "{out}"], None),
 ], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
         "run-levels", "unknown-key", "line-without-equals", "non-utf8",
         "zero-stride", "zero-width", "zero-input-size", "nan-lambda",
         "negative-eval-every", "negative-lr-poly", "negative-n-train",
-        "zero-scene-size", "negative-jitter", "negative-noise", "nan-noise"])
-def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, tmp_path, capsys):
+        "zero-scene-size", "negative-jitter", "negative-noise", "nan-noise",
+        "eval-unknown-key", "eval-line-without-equals", "eval-missing-file",
+        "predict-unknown-key", "predict-line-without-equals", "predict-missing-file"])
+def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp_path,
+                                        capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(cfg_text, encoding="latin-1")  # "\xff" becomes a non-UTF-8 byte
-    argv = [a.format(corpus=corpus_dir, out=tmp_path / "out") for a in argv]
+    if cfg_text is not None:  # None: --config names a file that does not exist
+        cfg.write_text(cfg_text, encoding="latin-1")  # "\xff" becomes a non-UTF-8 byte
+    argv = [a.format(corpus=corpus_dir, out=tmp_path / "out",
+                     ckpt=run_dir / "checkpoint.dmls",
+                     image=corpus_dir / "images" / "img_00008.ppm") for a in argv]
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -6,6 +6,7 @@ import pytest
 from dmlseg.errors import ConfigError
 from dmlseg.model import (ModelConfig, build_model, describe, forward, predict_labels)
 from dmlseg.tensor import Tensor
+from dmlseg.train import _unaffected
 
 DATA = Path(__file__).parent / "data"
 
@@ -160,11 +161,18 @@ class TestForward:
     def test_pooled_scores_dominate_window(self):
         cfg = tiny_config()
         model = build_model(cfg, seed=0)
-        trace = {}
-        forward(model, Tensor(np.random.default_rng(6).random((1, 3, 32, 32))), trace=trace)
-        for j, w in enumerate(cfg.window_sizes):
-            pre = trace[f"prepool{j}"].data
-            pooled = trace[f"pooled{j}"].data
+        k = cfg.num_classes
+        for block in model.dml:  # identity adapt: m is the pooled scores
+            block.adapt.weight.tensor.data[:] = np.eye(k).reshape(k, k, 1, 1)
+            block.adapt.bias.tensor.data[:] = 0.0
+        memo = {}
+        forward(model, Tensor(np.random.default_rng(6).random((1, 3, 32, 32))), memo)
+        for j, (block, w) in enumerate(zip(model.dml, cfg.window_sizes), start=1):
+            t = memo["low"]
+            for layer in block.stage:
+                t = layer(t)
+            pre = block.proj(t).data
+            pooled = memo[f"dml{j}"][0].data
             half = (w - 1) // 2
             _, _, h, wd = pre.shape
             for y in range(h):
@@ -184,20 +192,28 @@ class TestForward:
         x = Tensor(rng.random((2, 3, 32, 32)))
         memo = {}
         full = forward(model, x, memo)
+        assert sorted(memo) == ["dml1", "dml2", "dml3", "low", "seg"]
         again = forward(model, x, dict(memo))
         assert np.array_equal(again.p.data, full.p.data)
         assert again.fusion_gap() == 0.0
 
-        model.params["dml2.stage0.weight"].tensor.data[0, 0, 0, 0] += 0.25
-        kept = {k: v for k, v in memo.items()
-                if k not in ("prepool1", "pooled1", "m1", "m_up1")}
-        partial = forward(model, x, kept)
-        fresh = forward(model, x)
-        assert not np.array_equal(fresh.p.data, full.p.data)
-        assert np.array_equal(partial.p.data, fresh.p.data)
-        for a, b in zip(partial.m, fresh.m):
-            assert np.array_equal(a.data, b.data)
-        assert kept["o"] is memo["o"] and kept["m0"] is memo["m0"]
+        for name in ("low.1.weight", "seg.proj.bias", "dml1.adapt.weight",
+                     "dml2.stage0.weight", "dml3.proj.bias"):
+            memo = {}
+            before = forward(model, x, memo)
+            model.params[name].tensor.data.reshape(-1)[0] += 0.25
+            kept = _unaffected(memo, name)
+            partial = forward(model, x, kept)
+            fresh = forward(model, x)
+            assert not np.array_equal(fresh.p.data, before.p.data), name
+            assert np.array_equal(partial.p.data, fresh.p.data), name
+            assert np.array_equal(partial.s.data, fresh.s.data), name
+            for a, b in zip(partial.m, fresh.m):
+                assert np.array_equal(a.data, b.data), name
+            block = name.partition(".")[0]
+            reused = [k for k in memo if block != "low" and k != block]
+            assert len(reused) == (0 if block == "low" else 4), name
+            assert all(kept[k] is memo[k] for k in reused), name
 
     def test_wrong_input_shape_raises(self):
         model = build_model(tiny_config(), seed=0)

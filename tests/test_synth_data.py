@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,28 @@ class TestCorpus:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             read_corpus(tmp_path)
+
+    def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        root = tmp_path / "e"
+        write_corpus(spec(), 4, 1, root)
+        before = (root / "manifest.txt").read_bytes()
+        write_bytes, write_text = Path.write_bytes, Path.write_text
+
+        def torn(write):
+            def wrapped(self, data, *args, **kwargs):
+                if not self.name.startswith("manifest.txt"):
+                    return write(self, data, *args, **kwargs)
+                write(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return wrapped
+
+        monkeypatch.setattr(Path, "write_bytes", torn(write_bytes))
+        monkeypatch.setattr(Path, "write_text", torn(write_text))
+        with pytest.raises(OSError, match="disk full"):
+            write_corpus(spec(), 4, 1, root)
+        assert (root / "manifest.txt").read_bytes() == before
+        assert sorted(p.name for p in root.iterdir()) == ["images", "manifest.txt", "masks"]
+        assert len(read_corpus(root).entries) == 5
 
     def test_class_balance_over_large_corpus(self, tmp_path):
         # 500+ scenes: every foreground class must show up in >= 5% of its
