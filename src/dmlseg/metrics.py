@@ -38,7 +38,11 @@ class EvalReport:
 
 def accumulate(pred: np.ndarray, gt: np.ndarray, report: EvalReport) -> EvalReport:
     """Fold one image pair into the running report.  Ignore pixels in gt
-    are excluded from every statistic."""
+    are excluded from every statistic.
+
+    One bincount gives the image's confusion counts: its gt classes are
+    the nonzero rows, its predicted classes the nonzero columns, and a
+    wrong class is a nonzero column whose row is empty."""
     if pred.shape != gt.shape:
         raise DataError(f"prediction shape {pred.shape} != ground truth {gt.shape}")
     k = report.num_classes
@@ -50,13 +54,12 @@ def accumulate(pred: np.ndarray, gt: np.ndarray, report: EvalReport) -> EvalRepo
             raise DataError(f"ground-truth class {int(g.max())} outside 0..{k - 1}")
         if p.max() >= k:
             raise DataError(f"predicted class {int(p.max())} outside 0..{k - 1}")
-        report.confusion += np.bincount(g * k + p, minlength=k * k).reshape(k, k)
-    gt_classes = set(np.unique(g).tolist())
-    pred_classes = set(np.unique(p).tolist())
-    wrong = pred_classes - gt_classes
-    report.wrong_class_sum += len(wrong)
-    if wrong:
-        report.wrong_label_sum += int(np.isin(p, list(wrong)).sum())
+    counts = np.bincount(g * k + p, minlength=k * k).reshape(k, k)
+    report.confusion += counts
+    predicted = counts.sum(axis=0)
+    wrong = (predicted > 0) & (counts.sum(axis=1) == 0)
+    report.wrong_class_sum += int(wrong.sum())
+    report.wrong_label_sum += int(predicted[wrong].sum())
     report.image_count += 1
     return report
 

@@ -11,8 +11,11 @@ gradient takes one of two paths, chosen by the layer's stride:
 * stride > 1: one GEMM gives the gradient of every window element, which
   kh*kw strided adds scatter back onto the padded input.
 
-Max pooling saves argmax indices so backward can route gradients to the
-winning element, ties to the lowest linear index.
+Max pooling is separable: the forward takes a running maximum over the k
+column shifts, then over the k row shifts, and keeps no index.  Backward
+rebuilds the argmax from the padded input, as convolution rebuilds its
+columns, and routes each gradient to the winning element, ties to the
+lowest linear index.
 
 Pads are one fill plus one slice copy, and window views come from the
 ndarray constructor, which checks the strides against the buffer: on the
@@ -141,7 +144,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Sliding-window max with -inf padding semantics."""
+    """Sliding-window max with -inf padding semantics.
+
+    The forward is a running np.maximum over the kernel column shifts, then
+    over the kernel row shifts, both at `stride`: the max is exact, so no
+    window copy or index array is needed.  Backward copies the windows once
+    and takes their argmax, the first (lowest linear) index on ties.
+    """
     n, c, h, w = x.shape
     if kernel < 1:
         raise ConfigError(f"maxpool2d: kernel must be >= 1, got {kernel}")
@@ -155,14 +164,19 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
         raise ConfigError(f"maxpool2d: padding {padding} >= kernel {kernel}")
 
     padded = _pad(x.data, padding, padding, -np.inf) if padding > 0 else x.data
-    view = _window_view(padded, kernel, kernel, stride, 1, h_out, w_out)
-    flat = view.transpose(0, 1, 4, 5, 2, 3).reshape(-1, kernel * kernel)
-    arg = np.argmax(flat, axis=-1)  # first occurrence = lowest linear index
-    out_data = flat[np.arange(flat.shape[0]), arg].reshape(n, c, h_out, w_out)
-    arg = arg.reshape(n, c, h_out, w_out)
+    span_h, span_w = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+    col_max = padded[:, :, :, 0:span_w:stride].copy()
+    for v in range(1, kernel):
+        np.maximum(col_max, padded[:, :, :, v:v + span_w:stride], out=col_max)
+    out_data = col_max[:, :, 0:span_h:stride].copy()
+    for u in range(1, kernel):
+        np.maximum(out_data, col_max[:, :, u:u + span_h:stride], out=out_data)
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
+        view = _window_view(padded, kernel, kernel, stride, 1, h_out, w_out)
+        flat = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, h_out, w_out, kernel * kernel)
+        arg = np.argmax(flat, axis=-1)  # first occurrence = lowest linear index
         gpad = np.zeros((n, c, hp, wp), dtype=g.dtype)
         oh = np.arange(h_out)[:, None] * stride
         ow = np.arange(w_out)[None, :] * stride

@@ -53,6 +53,37 @@ def test_random_pairs_match_loop_oracle():
                 assert got == pytest.approx(want)
 
 
+def _oracle_pair(rng, case, k):
+    """One (pred, gt) pair of the given kind, with predictions >= k (and
+    up to 255) at ignore pixels, which no statistic may see."""
+    h, w = (int(v) for v in rng.integers(1, 13, size=2))
+    # case 3 draws gt from the lower half of the classes, so most
+    # predictions fall in classes the gt does not hold
+    top = max(1, k // 2) if case == 3 else k
+    gt = rng.integers(0, top, size=(h, w)).astype(np.uint8)
+    if case == 1:  # a single gt class
+        gt[:] = rng.integers(0, k)
+    gt[rng.random((h, w)) < 0.2] = IGNORE
+    if case == 2:  # all ignore
+        gt[:] = IGNORE
+    pred = rng.integers(0, k, size=(h, w)).astype(np.uint8)
+    ignore = gt == IGNORE
+    pred[ignore] = rng.integers(k, 256, size=int(ignore.sum()))
+    return pred, gt
+
+
+def test_accumulate_matches_loop_oracle_on_edge_cases():
+    rng = np.random.default_rng(7)
+    for i in range(240):
+        k = int(rng.integers(1, 21))
+        pred, gt = _oracle_pair(rng, i % 4, k)
+        report = accumulate(pred, gt, EvalReport(num_classes=k))
+        confusion, wrong_class, wrong_label = seg_metrics_loops(pred, gt, k)
+        assert np.array_equal(report.confusion, confusion)
+        assert report.wrong_class_sum == wrong_class
+        assert report.wrong_label_sum == wrong_label
+
+
 def test_means_are_per_image():
     gt = np.zeros((4, 4), dtype=np.uint8)
     pred_a = gt.copy()

@@ -204,21 +204,29 @@ class TestMaxPool:
         g.backward(loss)
         assert x.grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("kernel", [1, 3, 5, 11])
-    def test_ties_match_loops(self, kernel, check64):
-        # small integers: almost every window holds several copies of its max
-        rng = np.random.default_rng(kernel)
-        x = t(rng.integers(0, 3, size=(2, 2, 12, 12)), requires_grad=True)
-        g_out = rng.normal(size=(2, 2, 12, 12))
-        pad = (kernel - 1) // 2
-        with record() as g:
-            out = ops.maxpool2d(x, kernel=kernel, stride=1, padding=pad)
-        np.testing.assert_array_equal(
-            out.data, maxpool2d_loops(x.data, kernel=kernel, stride=1, padding=pad))
-        out.accumulate_grad(g_out)
-        g.nodes[-1].backward_fn(out.grad)
-        np.testing.assert_array_equal(
-            x.grad, maxpool2d_grad_loops(x.data, g_out, kernel=kernel, stride=1, padding=pad))
+    # every odd window at stride 1 with "same" padding, plus k = 2 and 3 at
+    # stride 2
+    @pytest.mark.parametrize("kernel, stride, padding", [
+        *(pytest.param(k, 1, (k - 1) // 2, id=str(k)) for k in (1, 3, 5, 7, 9, 11)),
+        pytest.param(2, 2, 0, id="2-s2"), pytest.param(3, 2, 1, id="3-s2")])
+    def test_ties_match_loops(self, kernel, stride, padding):
+        """Forward and backward against the loop oracles in both precisions,
+        on small integers: almost every window holds several copies of its
+        max, so only the lowest-linear-index rule routes the gradient right."""
+        for precision in ("train32", "check64"):
+            tensor.set_precision(precision)
+            rng = np.random.default_rng(kernel * 10 + stride)
+            x = t(rng.integers(0, 3, size=(2, 3, 12, 10)), requires_grad=True)
+            with record() as g:
+                out = ops.maxpool2d(x, kernel=kernel, stride=stride, padding=padding)
+            np.testing.assert_array_equal(
+                out.data, maxpool2d_loops(x.data, kernel=kernel, stride=stride, padding=padding))
+            g_out = rng.normal(size=out.shape).astype(tensor.dtype())
+            out.accumulate_grad(g_out)
+            g.nodes[-1].backward_fn(out.grad)
+            np.testing.assert_array_equal(
+                x.grad, maxpool2d_grad_loops(x.data, g_out, kernel=kernel, stride=stride,
+                                             padding=padding))
 
     def test_window_outside_raises(self):
         x = t(np.zeros((1, 1, 4, 4)))
