@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_gt_cache, load_model_checkpoint, save_gt_cache
+from .checkpoint import load_gt_cache, load_model_checkpoint, save_gt_cache, write_atomic
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .kv import parse_kv
 from .metrics import report_csv, report_table
@@ -86,7 +86,7 @@ def _add_train_flags(sub):
     sub.add_argument("--weight-decay", type=float, dest="weight_decay")
     sub.add_argument("--lr-poly", type=float, dest="lr_poly")
     sub.add_argument("--eval-every", type=int, dest="eval_every")
-    sub.add_argument("--precision", choices=("train32", "check64"))
+    sub.add_argument("--precision")
 
 
 def _file_kv(args) -> dict[str, str]:
@@ -185,7 +185,7 @@ def _cmd_eval(args) -> int:
     corpus = read_corpus(args.corpus)
     report = evaluate(model, corpus, args.split)
     if args.out is not None:
-        Path(args.out).write_text(report_csv(report), encoding="utf-8")
+        write_atomic(Path(args.out), report_csv(report).encode("utf-8"))
     sys.stdout.write(report_table(report, name=f"levels={model.config.levels}"))
     return 0
 

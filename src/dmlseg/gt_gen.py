@@ -14,13 +14,19 @@ from .errors import ConfigError, DataError
 IGNORE = 255
 
 
-def binarize_channels(mask: np.ndarray, num_classes: int) -> np.ndarray:
-    """(H, W) class indices -> (K, H, W) {0,1} stack; ignore is 0 everywhere."""
+def check_labels(mask: np.ndarray, num_classes: int) -> None:
+    """Raise DataError naming the first pixel of an (H, W) mask whose value
+    is neither a class below `num_classes` nor IGNORE."""
     bad = (mask >= num_classes) & (mask != IGNORE)
     if bad.any():
         y, x = np.argwhere(bad)[0]
         raise DataError(f"mask value {int(mask[y, x])} at pixel ({y}, {x}) "
                         f"is outside 0..{num_classes - 1}")
+
+
+def binarize_channels(mask: np.ndarray, num_classes: int) -> np.ndarray:
+    """(H, W) class indices -> (K, H, W) {0,1} stack; ignore is 0 everywhere."""
+    check_labels(mask, num_classes)
     return (mask[None, :, :] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
 
 
@@ -63,9 +69,9 @@ def effective_window(window: int, stride: int) -> int:
 
 def downsample_mask(mask: np.ndarray, factor: int, num_classes: int) -> np.ndarray:
     """Majority-vote decimation; ignore excluded, ties to the lowest class,
-    all-ignore cells stay ignore."""
-    if factor == 1:
-        return mask.copy()
+    all-ignore cells stay ignore.  A label that is neither a class below
+    `num_classes` nor ignore is a DataError."""
+    check_labels(mask, num_classes)
     h, w = mask.shape
     if h % factor or w % factor:
         raise ConfigError(f"mask size {h}x{w} not divisible by factor {factor}")

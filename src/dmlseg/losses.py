@@ -47,15 +47,13 @@ def multilabel_nll(m: Tensor, y: np.ndarray) -> Tensor:
     n, k, h, w = m.shape
     denom = n * h * w * k
     elem = np.maximum(md, 0) - md * yd + np.log1p(np.exp(-np.abs(md)))
-    out = scalar(float(elem.sum() / denom), m.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
         e = np.exp(-np.abs(md))
         sig = np.where(md >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         m.accumulate_grad((sig - yd) * (float(g.reshape(())) / denom))
 
-    push_node((m,), out, backward_fn)
-    return out
+    return push_node((m,), np.full((1, 1, 1, 1), elem.sum() / denom), backward_fn)
 
 
 def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
@@ -83,7 +81,6 @@ def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
     flat = (np.arange(n)[:, None, None] * k + cls) * (h * w) + np.arange(h * w).reshape(h, w)
     picked = pd.reshape(-1)[flat]
     nll = (lse[:, 0] - picked) * valid
-    out = scalar(float(nll.sum() / n_valid), p.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
         gp = ez / ez.sum(axis=1, keepdims=True)  # softmax, minus one-hot below
@@ -91,8 +88,7 @@ def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
         gp *= valid[:, None, :, :]
         p.accumulate_grad(gp * (float(g.reshape(())) / n_valid))
 
-    push_node((p,), out, backward_fn)
-    return out
+    return push_node((p,), np.full((1, 1, 1, 1), nll.sum() / n_valid), backward_fn)
 
 
 def total_objective(l_seg: Tensor, l_mul: Sequence[Tensor],

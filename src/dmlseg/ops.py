@@ -17,6 +17,10 @@ rebuilds the argmax from the padded input, as convolution rebuilds its
 columns, and routes each gradient to the winning element, ties to the
 lowest linear index.
 
+Every op computes its output array and its backward closure and hands
+both to `tensor.push_node`, which alone decides whether the result needs a
+gradient (iff an input does) and whether the closure is taped.
+
 Pads are one fill plus one slice copy, and window views come from the
 ndarray constructor, which checks the strides against the buffer: on the
 small inputs of a gradient check, np.pad and as_strided cost more in
@@ -95,9 +99,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
     if not np.isfinite(out_data).all():
         raise NumericError("conv2d produced non-finite values")
 
-    requires = x.requires_grad or weight.requires_grad or bias.requires_grad
-    out = Tensor(out_data, requires_grad=requires)
-
     def backward_fn(g: np.ndarray) -> None:
         g_mat = g.reshape(n, c_out, h_out * w_out)
         if bias.requires_grad:
@@ -129,18 +130,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
                          v * dilation:v * dilation + stride * w_out:stride] += gcols[:, :, u, v]
             x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
 
-    push_node((x, weight, bias), out, backward_fn)
-    return out
+    return push_node((x, weight, bias), out_data, backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
-
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate_grad(g * (x.data > 0))
 
-    push_node((x,), out, backward_fn)
-    return out
+    return push_node((x,), np.maximum(x.data, 0), backward_fn)
 
 
 def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tensor:
@@ -171,7 +168,6 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
     out_data = col_max[:, :, 0:span_h:stride].copy()
     for u in range(1, kernel):
         np.maximum(out_data, col_max[:, :, u:u + span_h:stride], out=out_data)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward_fn(g: np.ndarray) -> None:
         view = _window_view(padded, kernel, kernel, stride, 1, h_out, w_out)
@@ -188,8 +184,7 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
         np.add.at(gpad.reshape(-1), flat_idx.reshape(-1), g.reshape(-1))
         x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
 
-    push_node((x,), out, backward_fn)
-    return out
+    return push_node((x,), out_data, backward_fn)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -197,14 +192,12 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ConfigError(f"upsample_nearest: factor must be >= 1, got {factor}")
     out_data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
     n, c, h, w = x.shape
 
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate_grad(g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
 
-    push_node((x,), out, backward_fn)
-    return out
+    return push_node((x,), out_data, backward_fn)
 
 
 def elementwise_sum(inputs: Sequence[Tensor]) -> Tensor:
@@ -218,45 +211,34 @@ def elementwise_sum(inputs: Sequence[Tensor]) -> Tensor:
     out_data = inputs[0].data.copy()
     for t in inputs[1:]:
         out_data += t.data
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
 
     def backward_fn(g: np.ndarray) -> None:
         for t in inputs:
             if t.requires_grad:
                 t.accumulate_grad(g)
 
-    push_node(tuple(inputs), out, backward_fn)
-    return out
+    return push_node(tuple(inputs), out_data, backward_fn)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar."""
-    out = Tensor(x.data * c, requires_grad=x.requires_grad)
-
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate_grad(g * c)
 
-    push_node((x,), out, backward_fn)
-    return out
+    return push_node((x,), x.data * c, backward_fn)
 
 
 def shift(x: Tensor, c: float) -> Tensor:
     """Add a python scalar; gradient passes through unchanged."""
-    out = Tensor(x.data + c, requires_grad=x.requires_grad)
-
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate_grad(g)
 
-    push_node((x,), out, backward_fn)
-    return out
+    return push_node((x,), x.data + c, backward_fn)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
     """Sum all elements into a (1, 1, 1, 1) scalar."""
-    out = Tensor(x.data.sum().reshape(1, 1, 1, 1), requires_grad=x.requires_grad)
-
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate_grad(np.full_like(x.data, g.reshape(())))
 
-    push_node((x,), out, backward_fn)
-    return out
+    return push_node((x,), x.data.sum().reshape(1, 1, 1, 1), backward_fn)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .gt_gen import IGNORE
+from .gt_gen import check_labels
 from .kv import parse_kv
 
 MANIFEST_FORMAT = "dmlseg-corpus-v1"
@@ -158,16 +158,13 @@ def write_ppm(path: Path, image: np.ndarray) -> None:
     """image is (3, H, W) float in [0, 1] on the 1/255 grid."""
     u8 = np.rint(image * 255).astype(np.uint8).transpose(1, 2, 0)
     h, w, _ = u8.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(u8.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + u8.tobytes())
 
 
 def write_pgm(path: Path, mask: np.ndarray) -> None:
     h, w = mask.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(np.ascontiguousarray(mask, dtype=np.uint8).tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode()
+                 + np.ascontiguousarray(mask, dtype=np.uint8).tobytes())
 
 
 def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
@@ -317,7 +314,8 @@ def read_corpus(dir_path: Path) -> Corpus:
     corpus = Corpus(root=root, spec=spec, entries=entries, content_hash=got)
     for i in range(len(entries)):
         mask = corpus.load_mask(i)
-        bad = (mask >= spec.num_classes) & (mask != IGNORE)
-        if bad.any():
-            raise DataError(f"{entries[i][2]}: invalid class index {int(mask[bad][0])}")
+        try:
+            check_labels(mask, spec.num_classes)
+        except DataError as exc:
+            raise DataError(f"{entries[i][2]}: {exc}") from exc
     return corpus

@@ -16,16 +16,16 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 
-_MODES = {"train32": np.float32, "check64": np.float64}
+MODES = {"train32": np.float32, "check64": np.float64}
 _dtype = np.dtype(np.float32)
 
 
 def set_precision(mode: str) -> None:
     """Switch the element type for all tensors created afterwards."""
     global _dtype
-    if mode not in _MODES:
-        raise UsageError(f"unknown precision mode {mode!r}, expected one of {sorted(_MODES)}")
-    _dtype = np.dtype(_MODES[mode])
+    if mode not in MODES:
+        raise UsageError(f"unknown precision mode {mode!r}, expected one of {sorted(MODES)}")
+    _dtype = np.dtype(MODES[mode])
 
 
 def precision() -> str:
@@ -74,9 +74,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def scalar(value: float, requires_grad: bool = False) -> Tensor:
-    """A rank-4 scalar of shape (1, 1, 1, 1)."""
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=_dtype), requires_grad)
+def scalar(value: float) -> Tensor:
+    """A rank-4 scalar of shape (1, 1, 1, 1) that needs no gradient."""
+    return Tensor(np.full((1, 1, 1, 1), value, dtype=_dtype))
 
 
 class Node(NamedTuple):
@@ -139,11 +139,18 @@ def record(graph: Graph | None = None) -> Iterator[Graph]:
         _active = prev
 
 
-def push_node(inputs: tuple[Tensor, ...], output: Tensor,
-              backward_fn: Callable[[np.ndarray], None]) -> None:
-    """Record a backward closure if a tape is active and grads are wanted."""
-    if _active is not None and output.requires_grad:
-        _active.record(inputs, output, backward_fn)
+def push_node(inputs: tuple[Tensor, ...], out_data: np.ndarray,
+              backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Every op's and loss's result tensor, and the one home of the tape
+    rule: it needs a gradient iff some input does, and only then, while
+    `record()` is active, is `backward_fn` taped."""
+    requires = False
+    for t in inputs:  # a plain loop: any() over a generator costs more per op
+        requires = requires or t.requires_grad
+    out = Tensor(out_data, requires)
+    if requires and _active is not None:
+        _active.record(inputs, out, backward_fn)
+    return out
 
 
 class Parameter:

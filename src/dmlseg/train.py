@@ -45,6 +45,9 @@ class TrainConfig:
             raise ConfigError("lr, weight_decay and lr_poly must be non-negative")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be non-negative, got {self.eval_every}")
+        if self.precision not in tensor.MODES:
+            raise ConfigError(f"precision must be one of {sorted(tensor.MODES)}, "
+                              f"got {self.precision!r}")
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n"
@@ -121,8 +124,6 @@ def _batch_iterator(n: int, batch_size: int, seed: int):
 def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           out_dir: Path, grids=None, targets=None) -> TrainResult:
     """SGD over the joint objective; writes checkpoint.dmls and loss.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _precision(train_cfg.precision):
         idxs = corpus.indices("train")
         images = [corpus.load_image(i) for i in idxs]
@@ -134,6 +135,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
         if grids is None or targets is None:
             grids, targets = prepare_targets([corpus.load_mask(i) for i in idxs], model_cfg)
 
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)  # only once the inputs are known good
         model = build_model(model_cfg, seed=train_cfg.seed)
         params = model.parameters()
         ckpt_path = out / "checkpoint.dmls"
@@ -232,8 +235,11 @@ def _unaffected(memo: dict, param: str) -> dict:
     return {k: v for k, v in memo.items() if k.partition(".")[0] != block}
 
 
-def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
-               step: float = 1e-5, seed: int = 0) -> GradCheckReport:
+FD_BATCH = 2  # images in grad_check's random batch
+FD_STEP = 1e-5  # grad_check's central-difference half step
+
+
+def grad_check(model_cfg: ModelConfig, tolerance: float, *, seed: int = 0) -> GradCheckReport:
     """Compare every parameter gradient of the full objective against
     central finite differences on one small random batch (64-bit).
 
@@ -254,9 +260,9 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
             if p.name.endswith(".bias"):
                 p.tensor.data += 0.1
         h, w = model_cfg.input_size
-        x_data = rng.random((batch, 3, h, w))
-        masks = rng.integers(0, model_cfg.num_classes, size=(batch, h, w)).astype(np.uint8)
-        masks[rng.random((batch, h, w)) < 0.05] = IGNORE
+        x_data = rng.random((FD_BATCH, 3, h, w))
+        masks = rng.integers(0, model_cfg.num_classes, size=(FD_BATCH, h, w)).astype(np.uint8)
+        masks[rng.random((FD_BATCH, h, w)) < 0.05] = IGNORE
         grids, targets = prepare_targets(masks, model_cfg)
         y_seg = np.stack(grids)
         y_mul = [np.stack([t[j] for t in targets]) for j in range(model_cfg.levels)]
@@ -277,12 +283,12 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, batch: int = 2,
             nflat = numeric.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + FD_STEP
                 hi = objective(model, x, y_seg, y_mul, dict(kept))[0].item()
-                flat[i] = orig - step
+                flat[i] = orig - FD_STEP
                 lo = objective(model, x, y_seg, y_mul, dict(kept))[0].item()
                 flat[i] = orig
-                nflat[i] = (hi - lo) / (2 * step)
+                nflat[i] = (hi - lo) / (2 * FD_STEP)
             per_layer[p.name] = _rel_err(analytic, numeric)
         worst = max(per_layer.values())
         return GradCheckReport(per_layer=per_layer, max_rel_err=worst,

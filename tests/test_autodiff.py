@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from dmlseg import ops, tensor
+from dmlseg import losses, ops, tensor
 from dmlseg.errors import ConfigError, UsageError
+from dmlseg.gt_gen import IGNORE
 from dmlseg.optim import sgd_step
-from dmlseg.tensor import Parameter, Tensor, record, scalar
+from dmlseg.tensor import Graph, Parameter, Tensor, record, scalar
 
 
 def test_tensor_is_rank_four_only():
@@ -70,6 +73,56 @@ def test_no_recording_outside_tape():
         pass
     ops.relu(x)
     assert g.nodes == []
+
+
+_Y_SEG = np.array([0, 1, 2, IGNORE] * 8, dtype=np.uint8).reshape(2, 4, 4)
+_Y_MUL = (_Y_SEG[:, None] == np.arange(3)[:, None, None]).astype(np.uint8)
+
+# every op and loss: (input shapes, call on those inputs)
+TAPE_OPS = {
+    "conv2d": ([(1, 2, 5, 5), (3, 2, 3, 3), (1, 3, 1, 1)],
+               lambda x, w, b: ops.conv2d(x, w, b, padding=1)),
+    "relu": ([(1, 2, 3, 3)], ops.relu),
+    "maxpool2d": ([(1, 2, 4, 4)], lambda x: ops.maxpool2d(x, kernel=3, stride=1, padding=1)),
+    "upsample_nearest": ([(1, 2, 2, 2)], lambda x: ops.upsample_nearest(x, 2)),
+    "elementwise_sum": ([(1, 2, 3, 3)] * 3, lambda *xs: ops.elementwise_sum(list(xs))),
+    "scale": ([(1, 2, 3, 3)], lambda x: ops.scale(x, 0.5)),
+    "shift": ([(1, 2, 3, 3)], lambda x: ops.shift(x, 0.5)),
+    "reduce_sum": ([(1, 2, 3, 3)], ops.reduce_sum),
+    "multilabel_nll": ([(2, 3, 4, 4)], lambda m: losses.multilabel_nll(m, _Y_MUL)),
+    "softmax_nll": ([(2, 3, 4, 4)], lambda p: losses.softmax_nll(p, _Y_SEG)),
+}
+
+
+@pytest.mark.parametrize("name, flags", [
+    (name, flags) for name, (shapes, _) in TAPE_OPS.items()
+    for flags in itertools.product((False, True), repeat=len(shapes))
+], ids=lambda v: v if isinstance(v, str) else "".join("g" if f else "c" for f in v))
+def test_tape_rule(name, flags, monkeypatch):
+    """Each op's result needs a gradient iff an input does; inside record()
+    exactly such a result adds one node, and outside it nothing is taped."""
+    shapes, op = TAPE_OPS[name]
+    rng = np.random.default_rng(0)
+    inputs = [Tensor(rng.normal(size=shape), requires_grad=flag)
+              for shape, flag in zip(shapes, flags)]
+    wanted = any(flags)
+    taped = []  # every Graph.record call, on any graph
+    graph_record = Graph.record
+
+    def spy(graph, *args):
+        taped.append(args)
+        graph_record(graph, *args)
+
+    monkeypatch.setattr(Graph, "record", spy)
+    with record() as g:
+        out = op(*inputs)
+    assert out.requires_grad == wanted
+    assert len(g.nodes) == len(taped) == int(wanted)
+    if wanted:
+        assert g.nodes[0].output is out and g.nodes[0].inputs == tuple(inputs)
+    taped.clear()
+    assert op(*inputs).requires_grad == wanted
+    assert taped == [] and len(g.nodes) == int(wanted)
 
 
 class TestSgdStep:

@@ -1,6 +1,8 @@
 import dataclasses
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmlseg.checkpoint import load_container, save_container
@@ -135,6 +137,39 @@ def test_train_gt_cache_not_covering_corpus_exits_2(corpus_dir, tmp_path):
     assert main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run"),
                  *MODEL_FLAGS, "--iterations", "1", "--batch-size", "4",
                  "--gt-cache", str(cache)]) == 2
+
+
+@pytest.mark.parametrize("command", ["gen-gt", "train"])
+def test_labels_beyond_model_classes_exit_2(command, tmp_path, capsys):
+    corpus = tmp_path / "corpus8"
+    assert main(["gen-data", "--out", str(corpus), "--train", "4", "--val", "0",
+                 "--seed", "2", "--classes", "8", "--input-size", "32x32"]) == 0
+    labels = np.concatenate([read_pgm(m).ravel() for m in (corpus / "masks").glob("*.pgm")])
+    assert ((labels >= 4) & (labels != 255)).any()
+    out = tmp_path / ("gt.dmls" if command == "gen-gt" else "run")
+    extra = [] if command == "gen-gt" else ["--iterations", "1", "--batch-size", "2"]
+    assert main([command, "--corpus", str(corpus), "--out", str(out),
+                 *MODEL_FLAGS, *extra]) == 2  # MODEL_FLAGS sets --classes 4
+    assert "is outside 0..3" in capsys.readouterr().err
+    assert not out.exists()  # nothing written
+
+
+def test_failed_eval_out_write_keeps_previous_file(run_dir, corpus_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    out = tmp_path / "eval.csv"
+    out.write_text("previous\n")
+
+    def torn_write(self, data):
+        with open(self, "wb") as f:
+            f.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
+                 "--corpus", str(corpus_dir), "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
 
 
 def test_config_file_with_flag_override(corpus_dir, tmp_path):
@@ -315,6 +350,11 @@ def test_describe_command(capsys):
     (["predict", "--checkpoint", "{ckpt}", "--image", "{image}", "--out", "{out}"],
      "junk line\n"),
     (["predict", "--checkpoint", "{ckpt}", "--image", "{image}", "--out", "{out}"], None),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS], "precision = float16\n"),
+    (["experiment", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
+      "--run-levels", "0"], "precision = float16\n"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
+      "--precision", "float16"], ""),
 ], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
         "run-levels", "unknown-key", "line-without-equals", "non-utf8",
@@ -322,7 +362,8 @@ def test_describe_command(capsys):
         "negative-eval-every", "negative-lr-poly", "negative-n-train",
         "zero-scene-size", "negative-jitter", "negative-noise", "nan-noise",
         "eval-unknown-key", "eval-line-without-equals", "eval-missing-file",
-        "predict-unknown-key", "predict-line-without-equals", "predict-missing-file"])
+        "predict-unknown-key", "predict-line-without-equals", "predict-missing-file",
+        "train-precision", "experiment-precision", "train-precision-flag"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp_path,
                                         capsys):
     cfg = tmp_path / "bad.cfg"
@@ -333,3 +374,4 @@ def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp
                      image=corpus_dir / "images" / "img_00008.ppm") for a in argv]
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()  # rejected before anything is written

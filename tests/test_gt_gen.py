@@ -117,6 +117,13 @@ class TestDownsample:
         mask = np.arange(9, dtype=np.uint8).reshape(3, 3) % 4
         assert np.array_equal(downsample_mask(mask, 1, 4), mask)
 
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_label_beyond_classes_rejected(self, factor):
+        mask = np.zeros((4, 4), dtype=np.uint8)
+        mask[2, 3] = 7  # a class of an 8-class corpus, given a 4-class model
+        with pytest.raises(DataError, match=r"mask value 7 at pixel \(2, 3\) is outside 0\.\.3"):
+            downsample_mask(mask, factor, 4)
+
 
 def targets_of(mask, cfg):
     """Per-level presence targets of one full-size mask."""

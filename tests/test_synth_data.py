@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmlseg.errors import ConfigError, DataError
-from dmlseg.synth_data import (SceneSpec, class_colors, generate_scene,
+from dmlseg.synth_data import (SceneSpec, _corpus_hash, class_colors, generate_scene,
                                read_corpus, read_pgm, read_ppm, write_corpus,
                                write_pgm, write_ppm)
 
@@ -99,6 +99,25 @@ class TestNetpbm:
         with pytest.raises(DataError, match="P6"):
             read_ppm(tmp_path / "w.ppm")
 
+    @pytest.mark.parametrize("write, read, index", [
+        (write_ppm, read_ppm, 0), (write_pgm, read_pgm, 1)], ids=["ppm", "pgm"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, read, index):
+        path = tmp_path / "a.pnm"
+        write(path, generate_scene(spec(), 0)[index])
+        before = path.read_bytes()
+
+        def torn_write(self, data):
+            with open(self, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, generate_scene(spec(), 1)[index])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.pnm"]
+        assert np.array_equal(read(path), generate_scene(spec(), 0)[index])
+
 
 class TestCorpus:
     def test_write_read_round_trip(self, tmp_path):
@@ -137,6 +156,17 @@ class TestCorpus:
         target.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="hash"):
             read_corpus(tmp_path / "d")
+
+    def test_mask_label_beyond_classes_named(self, tmp_path):
+        corpus = write_corpus(spec(), 2, 0, tmp_path / "f")
+        mask = corpus.load_mask(1)
+        mask[3, 5] = 9  # spec() has 8 classes
+        write_pgm(corpus.root / corpus.entries[1][2], mask)
+        manifest = corpus.root / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            corpus.content_hash, _corpus_hash(corpus.root, corpus.entries)))
+        with pytest.raises(DataError, match=r"msk_00001.pgm: mask value 9 at pixel \(3, 5\)"):
+            read_corpus(corpus.root)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
