@@ -63,8 +63,8 @@ def _add_common(sub):
     sub.add_argument("--config", type=Path, help="key = value config file")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--serial", action="store_true",
-                     help="force fully serial execution (the default and "
-                          "reference mode; accepted for compatibility)")
+                     help="accepted for compatibility; results never depend on "
+                          "the cores used (taskset or OPENBLAS_NUM_THREADS picks them)")
 
 
 def _add_model_flags(sub):

@@ -11,6 +11,22 @@ gradient takes one of two paths, chosen by the layer's stride:
 * stride > 1: one GEMM gives the gradient of every window element, which
   kh*kw strided adds scatter back onto the padded input.
 
+Each of those three passes (forward GEMM, weight-gradient GEMM, input
+gradient) is written once over an image range [a, b), and `_over_images`
+decides how a batch is covered.  A pass runs inline, as [0, N) on the
+caller, when N is 1, when it costs fewer than INLINE_MACS (2^20)
+multiply-adds per image, or when there is one lane.  Otherwise W lanes,
+the caller and W-1 pool threads, each take the next image until none is
+left.  W is fixed once per process: the cores this process may run on
+(its affinity) divided by the BLAS threads each GEMM may use
+(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else MKL_NUM_THREADS; unset
+means every core), at least 1.  So `taskset -c 0` or a BLAS thread count
+picks the cores, and with default settings every pass is inline.  Every
+image's GEMM, copy and scatter is the same whichever lane runs it, and
+the pads, the bias gradient, the sum of the per-image weight gradients and
+the finiteness check stay on the caller, so output and gradient bytes
+never depend on W.
+
 Max pooling is separable: the forward takes a running maximum over the k
 column shifts, then over the k row shifts, and keeps no index.  Backward
 rebuilds the argmax from the padded input, as convolution rebuilds its
@@ -29,7 +45,10 @@ Python than the op's arithmetic.
 
 from __future__ import annotations
 
-from typing import Sequence
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +80,88 @@ def _window_view(padded: np.ndarray, kh: int, kw: int, stride: int,
     return view
 
 
+# per-image MACs below which a conv pass runs on the caller: a hand-off to
+# the lane pool costs about 50 us, a 1M-MAC GEMM about as much
+INLINE_MACS = 1 << 20
+_lanes: int | None = None  # set once per process by _lane_count
+_pool: ThreadPoolExecutor | None = None  # lanes 1..W-1, created on first use
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _lane_count() -> int:
+    """Usable cores divided by the BLAS threads each lane's GEMM may use
+    (the first of OPENBLAS/OMP/MKL_NUM_THREADS that is set; unset means
+    every core), at least 1."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(cores // blas, 1)
+
+
+def _over_images(n: int, macs: int,
+                 fn: Callable[[int, int], np.ndarray | None]) -> np.ndarray | None:
+    """`fn(a, b)` over images [a, b) covering [0, n): what fn(0, n) returns.
+
+    Inline, as fn(0, n) on the caller, when n is 1, a pass costs fewer
+    than INLINE_MACS per image, or there is one lane.  Otherwise W lanes,
+    the caller and the pool's threads, each claim the next image until none
+    is left, so a lane that is slow to start or descheduled holds back at
+    most the one image it is working on; fn's per-image results are joined
+    along the batch axis (None if fn returns None).  Every lane has
+    finished when this returns or raises, and a lane's exception reaches
+    the caller.
+    """
+    global _lanes, _pool
+    if n == 1 or macs < INLINE_MACS:
+        return fn(0, n)
+    if _lanes is None:
+        _lanes = _lane_count()
+    lanes = min(_lanes, n)
+    if lanes == 1:
+        return fn(0, n)
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_lanes - 1, thread_name_prefix="dmlseg-lane")
+    images = iter(range(n))
+    claim = threading.Lock()
+    results = [None] * n
+
+    def lane() -> None:
+        while True:
+            with claim:
+                i = next(images, n)
+            if i == n:
+                return
+            results[i] = fn(i, i + 1)
+
+    others = [_pool.submit(lane) for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:
+        for f in others:
+            f.cancel()  # a lane not started yet: the caller took its images
+        wait(others)
+    for f in others:
+        if not f.cancelled():
+            f.result()
+    return None if results[0] is None else np.concatenate(results)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
            dilation: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with dilation, zero padding and bias.
@@ -85,16 +186,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
     k = c_in * kh * kw
 
     padded = _pad(x.data, padding, padding, 0.0) if padding > 0 else x.data
+    windows = _window_view(padded, kh, kw, stride, dilation, h_out, w_out)
+    macs = c_out * k * h_out * w_out  # per image and per pass
 
-    def columns() -> np.ndarray:
-        """(N, C_in*kh*kw, h_out*w_out): one contiguous copy of the window
-        view, or a view of the input itself for a 1x1 stride-1 unpadded conv
-        (reshape drops the size-1 kernel axes without copying)."""
-        view = _window_view(padded, kh, kw, stride, dilation, h_out, w_out)
-        return view.reshape(n, k, h_out * w_out)
+    def columns(a: int, b: int) -> np.ndarray:
+        """(b-a, C_in*kh*kw, h_out*w_out) for images [a, b): one contiguous
+        copy of the window view, or a view of the input itself for a 1x1
+        stride-1 unpadded conv (reshape drops the size-1 kernel axes
+        without copying)."""
+        return windows[a:b].reshape(b - a, k, h_out * w_out)
 
     w_mat = weight.data.reshape(c_out, k)
-    out_data = np.matmul(w_mat, columns()).reshape(n, c_out, h_out, w_out)
+    out_data = _over_images(n, macs, lambda a, b: np.matmul(w_mat, columns(a, b)))
+    out_data = out_data.reshape(n, c_out, h_out, w_out)
     out_data += bias.data
     if not np.isfinite(out_data).all():
         raise NumericError("conv2d produced non-finite values")
@@ -105,9 +209,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
             bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
         if weight.requires_grad:
             # columns are rebuilt here rather than kept on the tape
-            gw = np.matmul(g_mat, columns().transpose(0, 2, 1)).sum(axis=0)
-            weight.accumulate_grad(gw.reshape(weight.shape))
-        if x.requires_grad and stride == 1:
+            gw = _over_images(n, macs, lambda a, b: np.matmul(
+                g_mat[a:b], columns(a, b).transpose(0, 2, 1)))
+            weight.accumulate_grad(gw.sum(axis=0).reshape(weight.shape))
+        if not x.requires_grad:
+            return
+        if stride == 1:
             # correlation with the flipped kernel; columns one image at a
             # time, since a batch-wide copy raises peak memory
             qh, qw = eff_h - 1 - padding, eff_w - 1 - padding
@@ -116,18 +223,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
                 c_in, c_out * kh * kw)
             gx = np.empty((n, c_in, h * w), dtype=g.dtype)
-            for i in range(n):
-                np.matmul(w_flip, view[i].reshape(c_out * kh * kw, h * w), out=gx[i])
+
+            def input_pass(a: int, b: int) -> None:
+                for i in range(a, b):
+                    np.matmul(w_flip, view[i].reshape(c_out * kh * kw, h * w), out=gx[i])
+
+            _over_images(n, macs, input_pass)
             x.accumulate_grad(gx.reshape(n, c_in, h, w))
-        elif x.requires_grad:
+        else:
             # gradient w.r.t. every window element, then scatter-add back
-            gcols = np.matmul(w_mat.T, g_mat).reshape(n, c_in, kh, kw, h_out, w_out)
             gpad = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
-            for u in range(kh):
-                for v in range(kw):
-                    gpad[:, :,
-                         u * dilation:u * dilation + stride * h_out:stride,
-                         v * dilation:v * dilation + stride * w_out:stride] += gcols[:, :, u, v]
+
+            def input_pass(a: int, b: int) -> None:
+                gcols = np.matmul(w_mat.T, g_mat[a:b]).reshape(
+                    b - a, c_in, kh, kw, h_out, w_out)
+                for u in range(kh):
+                    rows = slice(u * dilation, u * dilation + stride * h_out, stride)
+                    for v in range(kw):
+                        cols = slice(v * dilation, v * dilation + stride * w_out, stride)
+                        gpad[a:b, :, rows, cols] += gcols[:, :, u, v]
+
+            _over_images(n, macs, input_pass)
             x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
 
     return push_node((x, weight, bias), out_data, backward_fn)

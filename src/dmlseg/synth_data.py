@@ -288,9 +288,13 @@ def read_corpus(dir_path: Path) -> Corpus:
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise DataError(f"no manifest.txt in {root}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest}: {exc}") from exc
     kv_lines = []
     entries = []
-    for raw in manifest.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         if not raw.strip():
             continue
         if "\t" in raw:
@@ -306,7 +310,7 @@ def read_corpus(dir_path: Path) -> Corpus:
     spec = SceneSpec.from_kv(kv)
     for _, img, msk in entries:
         for rel in (img, msk):
-            if not (root / rel).exists():
+            if not (root / rel).is_file():
                 raise DataError(f"manifest lists missing file {rel}")
     got = _corpus_hash(root, entries)
     if got != kv.get("hash"):

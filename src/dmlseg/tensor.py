@@ -2,8 +2,10 @@
 
 Element type is a process-wide mode, not a per-tensor property: float32 for
 training speed ("train32"), float64 for finite-difference checking
-("check64").  Everything here is plain numpy underneath; execution is
-serial and bit-deterministic for identical inputs.
+("check64").  Everything here is plain numpy underneath and
+bit-deterministic for identical inputs: the tape runs on the caller's
+thread, and the only parallel work, `ops.conv2d`'s per-image lanes, gives
+the same bytes for any number of lanes.
 """
 
 from __future__ import annotations

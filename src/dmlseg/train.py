@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor
 from .checkpoint import save_model_checkpoint, write_atomic
 from .errors import ConfigError, NumericError
-from .gt_gen import IGNORE, downsample_mask, multilabel_from_grid_mask
+from .gt_gen import IGNORE, check_labels, downsample_mask, multilabel_from_grid_mask
 from .losses import LossReport, multilabel_nll, softmax_nll, total_objective
 from .metrics import EvalReport, accumulate, finalize
 from .model import Model, ModelConfig, build_model, forward, predict_labels
@@ -60,7 +60,7 @@ class TrainConfig:
         types = typing.get_type_hints(cls)
         try:
             return cls(**{k: types[k](kv[k]) for k in types if k in kv})
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: no `iterations`
             raise ConfigError(f"bad training option: {exc}") from exc
 
 
@@ -121,17 +121,23 @@ def _batch_iterator(n: int, batch_size: int, seed: int):
             yield order[start:start + batch_size]
 
 
+def _train_indices(corpus: Corpus, train_cfg: TrainConfig) -> list[int]:
+    """The corpus's training images, checked to fill one batch."""
+    idxs = corpus.indices("train")
+    if not idxs:
+        raise ConfigError("corpus has no training images")
+    if train_cfg.batch_size > len(idxs):
+        raise ConfigError(f"batch size {train_cfg.batch_size} exceeds "
+                          f"{len(idxs)} training images")
+    return idxs
+
+
 def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           out_dir: Path, grids=None, targets=None) -> TrainResult:
     """SGD over the joint objective; writes checkpoint.dmls and loss.csv."""
     with _precision(train_cfg.precision):
-        idxs = corpus.indices("train")
+        idxs = _train_indices(corpus, train_cfg)
         images = [corpus.load_image(i) for i in idxs]
-        if not images:
-            raise ConfigError("corpus has no training images")
-        if train_cfg.batch_size > len(images):
-            raise ConfigError(f"batch size {train_cfg.batch_size} exceeds "
-                              f"{len(images)} training images")
         if grids is None or targets is None:
             grids, targets = prepare_targets([corpus.load_mask(i) for i in idxs], model_cfg)
 
@@ -301,7 +307,20 @@ EXPERIMENT_HEADER = "levels,mean_iou,mean_wrong_class,mean_wrong_label"
 def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig,
                    out_dir: Path, levels=(0, 1, 2, 3)) -> tuple[str, list[EvalReport]]:
     """Train and evaluate one variant per level count with a shared seed,
-    corpus and schedule; returns the comparison CSV text."""
+    corpus and schedule; returns the comparison CSV text.
+
+    Every variant's config, the batch size and the labels of both splits
+    are checked, and each variant's targets built, before anything is
+    written."""
+    cfgs = [dataclasses.replace(base_cfg, levels=j, window_sizes=base_cfg.window_sizes[:j])
+            for j in levels]
+    masks = [corpus.load_mask(i) for i in _train_indices(corpus, train_cfg)]
+    prepared = [prepare_targets(masks, cfg) for cfg in cfgs]
+    val = corpus.indices("val")
+    if not val:
+        raise ConfigError("corpus has no 'val' images")
+    for i in val:
+        check_labels(corpus.load_mask(i), base_cfg.num_classes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = (base_cfg.to_text() + train_cfg.to_text()
@@ -309,10 +328,8 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     write_atomic(out / "experiment_config.txt", manifest.encode("utf-8"))
     rows = [EXPERIMENT_HEADER]
     eval_reports = []
-    for j in levels:
-        cfg = dataclasses.replace(base_cfg, levels=j,
-                                  window_sizes=base_cfg.window_sizes[:j])
-        result = train(corpus, cfg, train_cfg, out / f"level{j}")
+    for j, cfg, (grids, targets) in zip(levels, cfgs, prepared):
+        result = train(corpus, cfg, train_cfg, out / f"level{j}", grids, targets)
         report = evaluate(result.model, corpus, "val")
         eval_reports.append(report)
         rows.append(f"{j},{report.mean_iou:.6f},{report.mean_wrong_class:.6f},"

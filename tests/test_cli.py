@@ -154,6 +154,26 @@ def test_labels_beyond_model_classes_exit_2(command, tmp_path, capsys):
     assert not out.exists()  # nothing written
 
 
+@pytest.mark.parametrize("val, extra, code, message", [
+    ("2", ["--classes", "4"], 2, "is outside 0..3"),
+    ("2", ["--batch-size", "5"], 1, "batch size 5 exceeds 4 training images"),
+    ("2", ["--run-levels", "0,4"], 1, "levels must be 0..3, got 4"),
+    ("0", [], 1, "corpus has no 'val' images")],
+    ids=["labels", "batch", "variant", "no-val"])
+def test_experiment_checks_every_variant_before_writing(val, extra, code, message, tmp_path,
+                                                        capsys):
+    corpus = tmp_path / "corpus8"
+    assert main(["gen-data", "--out", str(corpus), "--train", "4", "--val", val,
+                 "--seed", "2", "--classes", "8", "--input-size", "32x32"]) == 0
+    out = tmp_path / "exp"
+    argv = ["experiment", "--corpus", str(corpus), "--out", str(out), "--input-size", "32x32",
+            "--low-channels", "8/2,8/2", "--seg-channels", "8,8", "--iterations", "1",
+            "--batch-size", "2", "--run-levels", "0", *extra]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # nothing written, not even experiment_config.txt
+
+
 def test_failed_eval_out_write_keeps_previous_file(run_dir, corpus_dir, tmp_path,
                                                    monkeypatch, capsys):
     out = tmp_path / "eval.csv"

@@ -404,11 +404,14 @@ def test_conv2d_geometry_gradients_match_finite_differences(geometry, check64):
     assert worst <= 1e-4, f"{geometry}: worst FD mismatch {worst}"
 
 
+# which of (x, weight, bias) require a gradient
+PARTIAL_WANTS = [(True, False, False), (False, True, False), (False, False, True),
+                 (True, False, True), (False, True, True), (True, True, False)]
+PARTIAL_IDS = ["x", "weight", "bias", "x+bias", "weight+bias", "x+weight"]
+
+
 @pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
-@pytest.mark.parametrize("wants", [(True, False, False), (False, True, False),
-                                   (False, False, True), (True, False, True),
-                                   (False, True, True), (True, True, False)],
-                         ids=["x", "weight", "bias", "x+bias", "weight+bias", "x+weight"])
+@pytest.mark.parametrize("wants", PARTIAL_WANTS, ids=PARTIAL_IDS)
 def test_conv2d_partial_gradients_match_finite_differences(geometry, wants, check64):
     k, stride, dilation, padding = geometry
     rng = np.random.default_rng(zlib.crc32(repr((geometry, wants)).encode()))
@@ -440,3 +443,18 @@ def test_serial_determinism(check64):
     second = run_once()
     for a, b2 in zip(first, second):
         assert np.array_equal(a, b2)
+
+
+@pytest.mark.usefixtures("two_lanes")
+class TestConv2dTwoLanes(TestConv2d):
+    """The conv loop-oracle tests above, and the conv finite-difference
+    tests, with every pass on two or more images split into two lanes."""
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_geometry_gradients_match_finite_differences(self, geometry, check64):
+        test_conv2d_geometry_gradients_match_finite_differences(geometry, check64)
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES, ids=GEOMETRY_IDS)
+    @pytest.mark.parametrize("wants", PARTIAL_WANTS, ids=PARTIAL_IDS)
+    def test_partial_gradients_match_finite_differences(self, geometry, wants, check64):
+        test_conv2d_partial_gradients_match_finite_differences(geometry, wants, check64)

@@ -172,6 +172,15 @@ class TestCorpus:
         with pytest.raises(DataError, match="manifest"):
             read_corpus(tmp_path)
 
+    @pytest.mark.parametrize("tail, match", [(b"train\t.\t.\n", "missing file ."),
+                                             (b"\xff\n", "utf-8")])
+    def test_manifest_directory_entry_or_bad_bytes_is_data_error(self, tmp_path, tail, match):
+        corpus = write_corpus(spec(), 1, 0, tmp_path / "g")
+        manifest = corpus.root / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + tail)
+        with pytest.raises(DataError, match=match):
+            read_corpus(corpus.root)
+
     def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
         root = tmp_path / "e"
         write_corpus(spec(), 4, 1, root)
