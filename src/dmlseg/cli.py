@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Subcommands: gen-data, gen-gt, train, eval, predict, grad-check,
-experiment.  Options may come from a `key = value` config file via
---config; explicit flags override file values.  Exit codes: 0 success,
-1 usage/config, 2 data, 3 numeric.
+experiment, describe.  Options may come from a `key = value` config file
+via --config; explicit flags override file values.  Only gen-data, train,
+experiment and grad-check take --seed.  Exit codes: 0 success, 1 usage or
+config (a bad flag or --config value), 2 data (a bad manifest or
+checkpoint header value, named by the file's path), 3 numeric.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ MODEL_DEFAULTS = {
     "input_size": "96x96",
     "low_channels": "24/2,48/2",
     "seg_channels": "64,64",
-    "iterations": "300",  # train and experiment; TrainConfig has no default
 }
 
 # small 3-level network used by grad-check unless overridden
@@ -57,14 +58,6 @@ FILE_KEYS = CONFIG_KEYS.union(SceneSpec(seed=0).to_kv())
 class Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_common(sub):
-    sub.add_argument("--config", type=Path, help="key = value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--serial", action="store_true",
-                     help="accepted for compatibility; results never depend on "
-                          "the cores used (taskset or OPENBLAS_NUM_THREADS picks them)")
 
 
 def _add_model_flags(sub):
@@ -91,14 +84,14 @@ def _add_train_flags(sub):
 
 def _file_kv(args) -> dict[str, str]:
     """--config's keys; a malformed line or a key no command reads is a ConfigError."""
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return {}
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist or is not a file")
     try:
         kv = parse_kv(path.read_text(encoding="utf-8"))
-    except (DataError, UnicodeDecodeError) as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     unknown = sorted(kv.keys() - FILE_KEYS)
     if unknown:
@@ -115,32 +108,28 @@ def _merged(args, defaults: dict[str, str]) -> dict[str, str]:
     return kv
 
 
-def _model_config(kv: dict[str, str]) -> ModelConfig:
-    try:
-        return ModelConfig.from_kv(kv)
-    except DataError as exc:
-        raise ConfigError(f"bad model option: {exc}") from exc
-
-
 def _seed(kv: dict[str, str]) -> int:
     try:
-        return int(kv.get("seed", "0"))
+        seed = int(kv.get("seed", "0"))
     except ValueError as exc:
         raise ConfigError(f"bad seed: {exc}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _cmd_gen_data(args) -> int:
     kv = _merged(args, {"n_train": "500", "n_val": "100"})
     try:
         n_train, n_val = int(kv["n_train"]), int(kv["n_val"])
-        if min(n_train, n_val) < 0:
-            raise ConfigError(f"scene counts must be non-negative, got {n_train} and {n_val}")
         num_classes = int(kv.get("num_classes", SceneSpec.num_classes))
-        scene = {**SceneSpec(seed=0, num_classes=num_classes).to_kv(), **kv}
-        scene["size"] = kv.get("input_size", scene["size"])
-        spec = SceneSpec.from_kv(scene)
-    except (ValueError, DataError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad data option: {exc}") from exc
+    if min(n_train, n_val) < 0:
+        raise ConfigError(f"scene counts must be non-negative, got {n_train} and {n_val}")
+    scene = {**SceneSpec(seed=0, num_classes=num_classes).to_kv(), **kv}
+    scene["size"] = kv.get("input_size", scene["size"])
+    spec = SceneSpec.from_kv(scene)
     corpus = write_corpus(spec, n_train, n_val, args.out)
     print(f"wrote {n_train} train / {n_val} val scenes to {corpus.root}")
     return 0
@@ -148,7 +137,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_gen_gt(args) -> int:
     corpus = read_corpus(args.corpus)
-    cfg = _model_config(_merged(args, MODEL_DEFAULTS))
+    cfg = ModelConfig.from_kv(_merged(args, MODEL_DEFAULTS))
     masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
     grids, targets = prepare_targets(masks, cfg)
     save_gt_cache(args.out, cfg, corpus.content_hash, grids, targets)
@@ -159,7 +148,7 @@ def _cmd_gen_gt(args) -> int:
 def _cmd_train(args) -> int:
     corpus = read_corpus(args.corpus)
     kv = _merged(args, MODEL_DEFAULTS)
-    model_cfg = _model_config(kv)
+    model_cfg = ModelConfig.from_kv(kv)
     train_cfg = TrainConfig.from_kv(kv)
     grids = targets = None
     if args.gt_cache is not None:
@@ -209,7 +198,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     kv = _merged(args, CHECK_DEFAULTS)
-    cfg = _model_config(kv)
+    cfg = ModelConfig.from_kv(kv)
     report = grad_check(cfg, args.tolerance, seed=_seed(kv))
     for line in report.lines():
         print(line)
@@ -222,7 +211,7 @@ def _cmd_grad_check(args) -> int:
 def _cmd_experiment(args) -> int:
     corpus = read_corpus(args.corpus)
     kv = _merged(args, {**MODEL_DEFAULTS, "run_levels": "0,1,2,3"})
-    base_cfg = _model_config(kv)
+    base_cfg = ModelConfig.from_kv(kv)
     train_cfg = TrainConfig.from_kv(kv)
     try:
         levels = tuple(int(v) for v in kv["run_levels"].split(","))
@@ -234,17 +223,20 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    kv = _merged(args, MODEL_DEFAULTS)
-    sys.stdout.write(describe(build_model(_model_config(kv), seed=_seed(kv))))
+    cfg = ModelConfig.from_kv(_merged(args, MODEL_DEFAULTS))
+    sys.stdout.write(describe(build_model(cfg)))
     return 0
 
 
 def build_parser() -> Parser:
     parser = Parser(prog="dmlseg", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, help="key = value config file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int)
 
-    p = subs.add_parser("gen-data", parents=[], help="generate a synthetic corpus")
-    _add_common(p)
+    p = subs.add_parser("gen-data", parents=[seeded], help="generate a synthetic corpus")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--train", type=int, dest="n_train")
     p.add_argument("--val", type=int, dest="n_val")
@@ -252,15 +244,14 @@ def build_parser() -> Parser:
     p.add_argument("--input-size", dest="input_size", help="HxW")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = subs.add_parser("gen-gt", help="cache multi-label targets for a corpus")
-    _add_common(p)
+    p = subs.add_parser("gen-gt", parents=[common],
+                        help="cache multi-label targets for a corpus")
     _add_model_flags(p)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_gen_gt)
 
-    p = subs.add_parser("train", help="train a model on a corpus")
-    _add_common(p)
+    p = subs.add_parser("train", parents=[seeded], help="train a model on a corpus")
     _add_model_flags(p)
     _add_train_flags(p)
     p.add_argument("--corpus", type=Path, required=True)
@@ -268,30 +259,29 @@ def build_parser() -> Parser:
     p.add_argument("--gt-cache", type=Path, dest="gt_cache")
     p.set_defaults(func=_cmd_train)
 
-    p = subs.add_parser("eval", help="evaluate a checkpoint on a corpus split")
-    _add_common(p)
+    p = subs.add_parser("eval", parents=[common],
+                        help="evaluate a checkpoint on a corpus split")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--split", default="val", choices=("train", "val"))
     p.add_argument("--out", type=Path, help="write per-class CSV here")
     p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("predict", help="label one PPM image")
-    _add_common(p)
+    p = subs.add_parser("predict", parents=[common], help="label one PPM image")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--image", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True,
                    help="output prefix (.pgm labels + .ppm colors)")
     p.set_defaults(func=_cmd_predict)
 
-    p = subs.add_parser("grad-check", help="finite-difference gradient check")
-    _add_common(p)
+    p = subs.add_parser("grad-check", parents=[seeded],
+                        help="finite-difference gradient check")
     _add_model_flags(p)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=_cmd_grad_check)
 
-    p = subs.add_parser("experiment", help="levels ablation: train/eval variants")
-    _add_common(p)
+    p = subs.add_parser("experiment", parents=[seeded],
+                        help="levels ablation: train/eval variants")
     _add_model_flags(p)
     _add_train_flags(p)
     p.add_argument("--corpus", type=Path, required=True)
@@ -300,8 +290,7 @@ def build_parser() -> Parser:
                    help="comma list of level counts to compare (default 0,1,2,3)")
     p.set_defaults(func=_cmd_experiment)
 
-    p = subs.add_parser("describe", help="print the layer inventory")
-    _add_common(p)
+    p = subs.add_parser("describe", parents=[common], help="print the layer inventory")
     _add_model_flags(p)
     p.set_defaults(func=_cmd_describe)
 

@@ -1,7 +1,8 @@
 """Error taxonomy shared by every module.
 
 The CLI maps these onto exit codes: usage/configuration -> 1,
-data -> 2, numeric -> 3.
+data -> 2, numeric -> 3.  Parsers raise ConfigError; only a reader of a
+file on disk turns that into a DataError, naming the file.
 """
 
 

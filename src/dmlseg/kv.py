@@ -3,7 +3,7 @@ checkpoint headers."""
 
 from __future__ import annotations
 
-from .errors import DataError
+from .errors import ConfigError
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -13,7 +13,7 @@ def parse_kv(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out

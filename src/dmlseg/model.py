@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
+from .gt_gen import IGNORE
 from .kv import parse_kv
 from .ops import conv2d, elementwise_sum, maxpool2d, relu, shift, upsample_nearest
 from .tensor import Parameter, Tensor, parameter_rng
@@ -36,8 +37,8 @@ class ModelConfig:
                            tuple((int(w), int(s)) for w, s in self.low_channels))
         object.__setattr__(self, "seg_channels", tuple(int(w) for w in self.seg_channels))
         object.__setattr__(self, "window_sizes", tuple(int(w) for w in self.window_sizes))
-        if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
+        if not 2 <= self.num_classes <= IGNORE:  # uint8 labels; 255 is IGNORE
+            raise ConfigError(f"num_classes must be 2..{IGNORE}, got {self.num_classes}")
         if self.levels not in (0, 1, 2, 3):
             raise ConfigError(f"levels must be 0..3, got {self.levels}")
         if len(self.window_sizes) != self.levels:
@@ -146,7 +147,7 @@ class ModelConfig:
                 levels=levels,
             )
         except (KeyError, ValueError) as exc:
-            raise DataError(f"bad model config text: {exc}") from exc
+            raise ConfigError(f"bad model config text: {exc}") from exc
 
 
 class ConvLayer:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .gt_gen import check_labels
+from .gt_gen import IGNORE, check_labels
 from .kv import parse_kv
 
 MANIFEST_FORMAT = "dmlseg-corpus-v1"
@@ -45,6 +45,10 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "size", tuple(self.size))
+        if not 2 <= self.num_classes <= IGNORE:  # uint8 labels; 255 is IGNORE
+            raise ConfigError(f"num_classes must be 2..{IGNORE}, got {self.num_classes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.pools is None:
             object.__setattr__(self, "pools", default_pools(self.num_classes))
         object.__setattr__(self, "pools", tuple(tuple(sorted(p)) for p in self.pools))
@@ -82,8 +86,8 @@ class SceneSpec:
                        num_classes=int(kv["num_classes"]), pools=pools,
                        shapes_min=int(kv["shapes_min"]), shapes_max=int(kv["shapes_max"]),
                        jitter=float(kv["jitter"]), noise=float(kv["noise"]))
-        except (KeyError, ValueError, ConfigError) as exc:
-            raise DataError(f"bad scene spec: {exc}") from exc
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad scene spec: {exc}") from exc
 
 
 def class_colors(spec: SceneSpec) -> np.ndarray:
@@ -304,10 +308,13 @@ def read_corpus(dir_path: Path) -> Corpus:
             entries.append((parts[0], parts[1], parts[2]))
         else:
             kv_lines.append(raw)
-    kv = parse_kv("\n".join(kv_lines))
-    if kv.get("format") != MANIFEST_FORMAT:
-        raise DataError(f"unknown corpus format {kv.get('format')!r}")
-    spec = SceneSpec.from_kv(kv)
+    try:
+        kv = parse_kv("\n".join(kv_lines))
+        if kv.get("format") != MANIFEST_FORMAT:
+            raise ConfigError(f"unknown corpus format {kv.get('format')!r}")
+        spec = SceneSpec.from_kv(kv)
+    except ConfigError as exc:
+        raise DataError(f"{manifest}: {exc}") from exc
     for _, img, msk in entries:
         for rel in (img, msk):
             if not (root / rel).is_file():

@@ -26,7 +26,7 @@ from .tensor import Tensor, record
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int
+    iterations: int = 300
     batch_size: int = 8
     momentum: float = 0.9
     weight_decay: float = 0.0005
@@ -43,8 +43,9 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (self.weight_decay >= 0 and self.lr >= 0 and self.lr_poly >= 0):
             raise ConfigError("lr, weight_decay and lr_poly must be non-negative")
-        if self.eval_every < 0:
-            raise ConfigError(f"eval_every must be non-negative, got {self.eval_every}")
+        if self.eval_every < 0 or self.seed < 0:
+            raise ConfigError(f"eval_every and seed must be non-negative, "
+                              f"got {self.eval_every} and {self.seed}")
         if self.precision not in tensor.MODES:
             raise ConfigError(f"precision must be one of {sorted(tensor.MODES)}, "
                               f"got {self.precision!r}")
@@ -60,7 +61,7 @@ class TrainConfig:
         types = typing.get_type_hints(cls)
         try:
             return cls(**{k: types[k](kv[k]) for k in types if k in kv})
-        except (TypeError, ValueError) as exc:  # TypeError: no `iterations`
+        except ValueError as exc:
             raise ConfigError(f"bad training option: {exc}") from exc
 
 

@@ -81,13 +81,17 @@ def _narrow_seg_proj_weight(header, arrays):
     lambda header, arrays: header.replace("window_sizes = 5,3,1", "window_sizes = 6,3,1"),
     lambda header, arrays: header.replace("low_channels = 8/2,8/2", "low_channels = 8/0,8/2"),
     lambda header, arrays: header.replace("lambda = 1.0", "lambda = nan"),
-], ids=["missing-entry", "wrong-shape", "even-window", "zero-stride", "nan-lambda"])
+    lambda header, arrays: header.replace("levels = 3", "levels = three"),
+    lambda header, arrays: header + "junk line\n",
+    lambda header, arrays: header.replace("num_classes = 4", "num_classes = 256"),
+], ids=["missing-entry", "wrong-shape", "even-window", "zero-stride", "nan-lambda",
+        "levels-word", "line-without-equals", "256-classes"])
 def test_eval_malformed_checkpoint_exits_2(edit, run_dir, corpus_dir, tmp_path, capsys):
     header, arrays = load_container(run_dir / "checkpoint.dmls")
     bad = tmp_path / "bad.dmls"
     save_container(bad, edit(header, arrays), arrays)
     assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_dir)]) == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: ")
 
 
 def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
@@ -95,12 +99,13 @@ def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
     shutil.copytree(corpus_dir, bad)
     manifest = bad / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    for line, edited in (("shapes_min = 3", "shapes_min = -3"), ("jitter = 0.08", "jitter = -1")):
+    for line, edited in (("shapes_min = 3", "shapes_min = -3"), ("jitter = 0.08", "jitter = -1"),
+                         ("noise = 0.03", "noise 0.03"), ("size = 32x32", "size = 0x0")):
         assert f"\n{line}\n" in text
         manifest.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
         assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
                      "--corpus", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        assert capsys.readouterr().err.startswith(f"data error: {manifest}: ")
 
 
 def test_predict_writes_label_and_color_maps(run_dir, corpus_dir, tmp_path):
@@ -310,6 +315,27 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+# each command's required flags, relative paths argparse does not open
+REQUIRED = {"gen-data": ["--out", "o"], "gen-gt": ["--corpus", "c", "--out", "o"],
+            "train": ["--corpus", "c", "--out", "o"],
+            "eval": ["--checkpoint", "k", "--corpus", "c"],
+            "predict": ["--checkpoint", "k", "--image", "i", "--out", "o"],
+            "grad-check": [], "experiment": ["--corpus", "c", "--out", "o"], "describe": []}
+UNREAD_FLAGS = [*((command, ["--serial"]) for command in REQUIRED),
+                *((command, ["--seed", "1"]) for command in ("gen-gt", "eval", "predict",
+                                                             "describe"))]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{command}{flag[0]}" for command, flag in UNREAD_FLAGS])
+def test_flag_the_command_does_not_read_exits_1(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a command that took the flag would write here
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_bad_corpus_exits_2(tmp_path):
     code = main(["train", "--corpus", str(tmp_path / "nope"), "--out",
                  str(tmp_path / "out"), *MODEL_FLAGS, "--iterations", "1"])
@@ -335,7 +361,7 @@ def test_describe_command(capsys):
 @pytest.mark.parametrize("argv, cfg_text", [
     (["describe"], "levels = three\n"),
     (["describe"], "num_classes = x\n"),
-    (["describe"], "seed = x\n"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS], "seed = x\n"),
     (["describe", "--input-size", "32"], ""),
     (["describe", "--low-channels", "8x2"], ""),
     (["describe", "--windows", "5,a"], ""),
@@ -375,7 +401,12 @@ def test_describe_command(capsys):
       "--run-levels", "0"], "precision = float16\n"),
     (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
       "--precision", "float16"], ""),
-], ids=["levels", "num_classes", "describe-seed", "input-size", "low-channels",
+    (["gen-data", "--out", "{out}", "--classes", "300"], ""),
+    (["describe", "--classes", "256"], ""),
+    (["gen-data", "--out", "{out}", "--seed", "-1"], ""),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS, "--seed", "-1"], ""),
+    (["grad-check", "--input-size", "8x8", "--seed", "-1"], ""),
+], ids=["levels", "num_classes", "train-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
         "run-levels", "unknown-key", "line-without-equals", "non-utf8",
         "zero-stride", "zero-width", "zero-input-size", "nan-lambda",
@@ -383,7 +414,9 @@ def test_describe_command(capsys):
         "zero-scene-size", "negative-jitter", "negative-noise", "nan-noise",
         "eval-unknown-key", "eval-line-without-equals", "eval-missing-file",
         "predict-unknown-key", "predict-line-without-equals", "predict-missing-file",
-        "train-precision", "experiment-precision", "train-precision-flag"])
+        "train-precision", "experiment-precision", "train-precision-flag",
+        "gen-data-300-classes", "256-classes", "gen-data-negative-seed",
+        "train-negative-seed", "grad-check-negative-seed"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp_path,
                                         capsys):
     cfg = tmp_path / "bad.cfg"
@@ -394,4 +427,4 @@ def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp
                      image=corpus_dir / "images" / "img_00008.ppm") for a in argv]
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "out").exists()  # rejected before anything is written
+    assert {p.name for p in tmp_path.iterdir()} <= {"bad.cfg"}  # rejected before any write

@@ -1,7 +1,8 @@
 """Property tests of the `key = value` readers: whatever text a config file
 or a corpus manifest holds, `parse_kv` plus `TrainConfig.from_kv` and
-`ModelConfig.from_kv`, and `read_corpus`, either succeed or raise
-ConfigError or DataError, never any other exception."""
+`ModelConfig.from_kv` either succeed or raise ConfigError, and
+`read_corpus` either succeeds or raises DataError, never any other
+exception."""
 
 import shutil
 
@@ -47,15 +48,15 @@ def _kv_text(base: dict[str, str]):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=_kv_text(VALID_CONFIG))
-def test_config_readers_raise_only_config_or_data_error(text):
+def test_config_readers_raise_only_config_error(text):
     try:
         kv = parse_kv(text)
-    except DataError:
+    except ConfigError:
         return
     for parse in (TrainConfig.from_kv, ModelConfig.from_kv):
         try:
             parse(kv)
-        except (ConfigError, DataError):
+        except ConfigError:
             pass
 
 

@@ -58,10 +58,11 @@ class TestGenerateScene:
 
     @pytest.mark.parametrize("field, value", [
         ("size", (0, 0)), ("size", (32, -1)), ("jitter", -1.0), ("jitter", float("inf")),
-        ("noise", -0.5), ("noise", float("nan"))])
+        ("noise", -0.5), ("noise", float("nan")), ("num_classes", 1), ("num_classes", 256),
+        ("seed", -1)])
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be"):
-            SceneSpec(seed=0, **{field: value})
+            SceneSpec(**{"seed": 0, field: value})
 
 
 class TestNetpbm:
