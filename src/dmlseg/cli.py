@@ -11,7 +11,6 @@ checkpoint header value, named by the file's path), 3 numeric.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,9 +26,6 @@ from .synth_data import (SceneSpec, palette, read_corpus, read_ppm, write_corpus
 from .tensor import Tensor
 from .train import (TrainConfig, evaluate, grad_check, prepare_targets,
                     run_experiment, train)
-
-MODEL_KEYS = ("num_classes", "input_size", "low_channels", "seg_channels",
-              "dml_extra_stride", "window_sizes", "lambda", "levels")
 
 MODEL_DEFAULTS = {
     "num_classes": "8",
@@ -48,11 +44,11 @@ CHECK_DEFAULTS = {
 }
 
 # the keys a flag may override; each flag's dest is its key
-CONFIG_KEYS = frozenset((*MODEL_KEYS, *(f.name for f in dataclasses.fields(TrainConfig)),
+CONFIG_KEYS = frozenset((*ModelConfig.keys(), *TrainConfig.keys(),
                          "n_train", "n_val", "run_levels"))
 
 # the keys a config file may hold: the flags' keys plus gen-data's scene keys
-FILE_KEYS = CONFIG_KEYS.union(SceneSpec(seed=0).to_kv())
+FILE_KEYS = CONFIG_KEYS.union(SceneSpec.keys())
 
 
 class Parser(argparse.ArgumentParser):
@@ -108,28 +104,17 @@ def _merged(args, defaults: dict[str, str]) -> dict[str, str]:
     return kv
 
 
-def _seed(kv: dict[str, str]) -> int:
-    try:
-        seed = int(kv.get("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"bad seed: {exc}") from exc
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def _cmd_gen_data(args) -> int:
-    kv = _merged(args, {"n_train": "500", "n_val": "100"})
+    kv = _merged(args, {"n_train": "500", "n_val": "100", "seed": "0"})
     try:
         n_train, n_val = int(kv["n_train"]), int(kv["n_val"])
-        num_classes = int(kv.get("num_classes", SceneSpec.num_classes))
     except ValueError as exc:
         raise ConfigError(f"bad data option: {exc}") from exc
     if min(n_train, n_val) < 0:
         raise ConfigError(f"scene counts must be non-negative, got {n_train} and {n_val}")
-    scene = {**SceneSpec(seed=0, num_classes=num_classes).to_kv(), **kv}
-    scene["size"] = kv.get("input_size", scene["size"])
-    spec = SceneSpec.from_kv(scene)
+    if "input_size" in kv:
+        kv["size"] = kv["input_size"]
+    spec = SceneSpec.from_kv(kv)
     corpus = write_corpus(spec, n_train, n_val, args.out)
     print(f"wrote {n_train} train / {n_val} val scenes to {corpus.root}")
     return 0
@@ -199,7 +184,8 @@ def _cmd_predict(args) -> int:
 def _cmd_grad_check(args) -> int:
     kv = _merged(args, CHECK_DEFAULTS)
     cfg = ModelConfig.from_kv(kv)
-    report = grad_check(cfg, args.tolerance, seed=_seed(kv))
+    seed = TrainConfig.from_kv({"seed": kv.get("seed", "0")}).seed
+    report = grad_check(cfg, args.tolerance, seed=seed)
     for line in report.lines():
         print(line)
     if not report.passed:

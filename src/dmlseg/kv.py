@@ -1,7 +1,11 @@
 """UTF-8 `key = value` text format used by config files, manifests and
-checkpoint headers."""
+checkpoint headers, and the one codec that spells a config in it."""
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+import typing
 
 from .errors import ConfigError
 
@@ -17,3 +21,73 @@ def parse_kv(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def _joined(sep: str, item=(int, str), size: int | None = None):
+    """(parse, spell) of a tuple of `item`s joined by `sep`, holding exactly
+    `size` items unless `size` is None; the empty text is ()."""
+    parse, spell = item
+
+    def parse_all(text: str) -> tuple:
+        values = tuple(parse(v) for v in text.split(sep)) if text else ()
+        if size not in (None, len(values)):
+            raise ValueError(f"expected {size} values joined by {sep!r}")
+        return values
+    if size == 2:  # one f-string: a pair costs half as much as a join
+        return parse_all, lambda value: f"{spell(value[0])}{sep}{spell(value[1])}"
+    return parse_all, lambda value: sep.join([spell(v) for v in value])
+
+
+# field annotation -> (parse a value's text, spell a value); numbers and
+# strings are spelled as text
+_SPELLINGS = {
+    **{t: (t, str) for t in (int, float, str)},
+    tuple[int, int]: _joined("x", size=2),
+    tuple[int, ...]: _joined(","),
+    tuple[tuple[int, int], ...]: _joined(",", _joined("/", size=2)),
+    tuple[tuple[int, ...], ...]: _joined("|", _joined(",")),
+}
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, key, parse, spell, required) per field of `cls`, in field order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name), *_SPELLINGS[hints[f.name]],
+                  f.default is dataclasses.MISSING) for f in dataclasses.fields(cls))
+
+
+class KvConfig:
+    """Base of the config dataclasses: one `key = value` line per field, in
+    field order, spelled by its annotation; metadata `key` renames a field."""
+
+    @classmethod
+    def keys(cls) -> tuple[str, ...]:
+        return tuple(key for _, key, *_ in _fields(cls))
+
+    def to_kv(self) -> dict[str, str]:
+        return {key: spell(getattr(self, name))
+                for name, key, _, spell, _ in _fields(type(self))}
+
+    def to_text(self) -> str:
+        return "".join([f"{key} = {spell(getattr(self, name))}\n"
+                        for name, key, _, spell, _ in _fields(type(self))])
+
+    @classmethod
+    def from_kv(cls, kv: dict[str, str]):
+        """Other keys are ignored and an absent field takes its default; a
+        malformed value or a missing required field is a ConfigError."""
+        values = {}
+        for name, key, parse, _, required in _fields(cls):
+            if key in kv:
+                try:
+                    values[name] = parse(kv[key])
+                except ValueError as exc:
+                    raise ConfigError(f"bad {key} {kv[key]!r}: {exc}") from exc
+            elif required:
+                raise ConfigError(f"missing key {key}")
+        return cls(**values)
+
+    @classmethod
+    def from_text(cls, text: str):
+        return cls.from_kv(parse_kv(text))

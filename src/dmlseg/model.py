@@ -10,25 +10,25 @@ class scores over its window, and is upsampled back before fusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
 from .gt_gen import IGNORE
-from .kv import parse_kv
+from .kv import KvConfig
 from .ops import conv2d, elementwise_sum, maxpool2d, relu, shift, upsample_nearest
 from .tensor import Parameter, Tensor, parameter_rng
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(KvConfig):
     num_classes: int
     input_size: tuple[int, int]
     low_channels: tuple[tuple[int, int], ...]
     seg_channels: tuple[int, ...]
     dml_extra_stride: int = 2
     window_sizes: tuple[int, ...] = (11, 5, 3)
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
     levels: int = 3
 
     def __post_init__(self):
@@ -41,6 +41,8 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be 2..{IGNORE}, got {self.num_classes}")
         if self.levels not in (0, 1, 2, 3):
             raise ConfigError(f"levels must be 0..3, got {self.levels}")
+        # `levels` J keeps the first J window sizes
+        object.__setattr__(self, "window_sizes", self.window_sizes[:self.levels])
         if len(self.window_sizes) != self.levels:
             raise ConfigError(f"{self.levels} levels but {len(self.window_sizes)} window sizes")
         for w in self.window_sizes:
@@ -64,6 +66,12 @@ class ModelConfig:
         h, w = self.input_size
         if h % self.s_dml or w % self.s_dml:
             raise ConfigError(f"input {h}x{w} not divisible by total stride {self.s_dml}")
+        # from any cell a window of 2G+1 spans a G-cell grid: a wider one adds nothing
+        limit = 2 * max(self.dml_grid) + 1
+        if any(w > limit for w in self.window_sizes):
+            raise ConfigError(f"window sizes must be at most {limit} on a "
+                              f"{self.dml_grid[0]}x{self.dml_grid[1]} DML grid, "
+                              f"got {self.window_sizes}")
 
     @property
     def s_low(self) -> int:
@@ -106,48 +114,6 @@ class ModelConfig:
             d *= f
             dils.append(d)
         return tuple(dils)
-
-    def to_text(self) -> str:
-        low = ",".join(f"{w}/{s}" for w, s in self.low_channels)
-        return (f"num_classes = {self.num_classes}\n"
-                f"input_size = {self.input_size[0]}x{self.input_size[1]}\n"
-                f"low_channels = {low}\n"
-                f"seg_channels = {','.join(str(w) for w in self.seg_channels)}\n"
-                f"dml_extra_stride = {self.dml_extra_stride}\n"
-                f"window_sizes = {','.join(str(w) for w in self.window_sizes)}\n"
-                f"lambda = {self.lam!r}\n"
-                f"levels = {self.levels}\n")
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        return cls.from_kv(parse_kv(text))
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "ModelConfig":
-        """Parse `key = value` pairs; other keys are ignored, an absent
-        optional key takes the field default, and `levels` J keeps the
-        first J window sizes."""
-        try:
-            h, _, w = kv["input_size"].partition("x")
-            low = tuple(tuple(int(v) for v in item.split("/"))
-                        for item in kv["low_channels"].split(","))
-            windows = cls.window_sizes
-            if "window_sizes" in kv:
-                windows = tuple(int(v) for v in kv["window_sizes"].split(",")) \
-                    if kv["window_sizes"] else ()
-            levels = int(kv.get("levels", cls.levels))
-            return cls(
-                num_classes=int(kv["num_classes"]),
-                input_size=(int(h), int(w)),
-                low_channels=low,
-                seg_channels=tuple(int(v) for v in kv["seg_channels"].split(",")),
-                dml_extra_stride=int(kv.get("dml_extra_stride", cls.dml_extra_stride)),
-                window_sizes=windows[:levels],
-                lam=float(kv.get("lambda", cls.lam)),
-                levels=levels,
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad model config text: {exc}") from exc
 
 
 class ConvLayer:

@@ -20,20 +20,21 @@ import numpy as np
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
 from .gt_gen import IGNORE, check_labels
-from .kv import parse_kv
+from .kv import KvConfig, parse_kv
 
 MANIFEST_FORMAT = "dmlseg-corpus-v1"
 
 
 def default_pools(num_classes: int) -> tuple[tuple[int, ...], ...]:
-    """Split foreground classes 1..K-1 into two scene pools."""
-    classes = list(range(1, num_classes))
+    """Split foreground classes 1..K-1 into two scene pools, or one when
+    there is a single foreground class."""
+    classes = tuple(range(1, num_classes))
     half = len(classes) // 2
-    return tuple(classes[:half]), tuple(classes[half:])
+    return tuple(p for p in (classes[:half], classes[half:]) if p)
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(KvConfig):
     seed: int
     size: tuple[int, int] = (96, 96)
     num_classes: int = 8
@@ -52,6 +53,8 @@ class SceneSpec:
         if self.pools is None:
             object.__setattr__(self, "pools", default_pools(self.num_classes))
         object.__setattr__(self, "pools", tuple(tuple(sorted(p)) for p in self.pools))
+        if not all(self.pools):
+            raise ConfigError(f"every pool must hold a class, got {self.pools}")
         flat = [c for pool in self.pools for c in pool]
         if sorted(flat) != list(range(1, self.num_classes)):
             raise ConfigError(f"pools {self.pools} must partition 1..{self.num_classes - 1}")
@@ -63,31 +66,6 @@ class SceneSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-
-    def to_kv(self) -> dict[str, str]:
-        return {
-            "seed": str(self.seed),
-            "size": f"{self.size[0]}x{self.size[1]}",
-            "num_classes": str(self.num_classes),
-            "pools": "|".join(",".join(str(c) for c in p) for p in self.pools),
-            "shapes_min": str(self.shapes_min),
-            "shapes_max": str(self.shapes_max),
-            "jitter": repr(self.jitter),
-            "noise": repr(self.noise),
-        }
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "SceneSpec":
-        try:
-            h, _, w = kv["size"].partition("x")
-            pools = tuple(tuple(int(c) for c in part.split(","))
-                          for part in kv["pools"].split("|"))
-            return cls(seed=int(kv["seed"]), size=(int(h), int(w)),
-                       num_classes=int(kv["num_classes"]), pools=pools,
-                       shapes_min=int(kv["shapes_min"]), shapes_max=int(kv["shapes_max"]),
-                       jitter=float(kv["jitter"]), noise=float(kv["noise"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad scene spec: {exc}") from exc
 
 
 def class_colors(spec: SceneSpec) -> np.ndarray:
@@ -312,6 +290,8 @@ def read_corpus(dir_path: Path) -> Corpus:
         kv = parse_kv("\n".join(kv_lines))
         if kv.get("format") != MANIFEST_FORMAT:
             raise ConfigError(f"unknown corpus format {kv.get('format')!r}")
+        if missing := [k for k in SceneSpec.keys() if k not in kv]:
+            raise ConfigError(f"missing key {', '.join(missing)}")
         spec = SceneSpec.from_kv(kv)
     except ConfigError as exc:
         raise DataError(f"{manifest}: {exc}") from exc

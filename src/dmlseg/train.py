@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from . import tensor
 from .checkpoint import save_model_checkpoint, write_atomic
 from .errors import ConfigError, NumericError
 from .gt_gen import IGNORE, check_labels, downsample_mask, multilabel_from_grid_mask
+from .kv import KvConfig
 from .losses import LossReport, multilabel_nll, softmax_nll, total_objective
 from .metrics import EvalReport, accumulate, finalize
 from .model import Model, ModelConfig, build_model, forward, predict_labels
@@ -25,7 +25,7 @@ from .tensor import Tensor, record
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(KvConfig):
     iterations: int = 300
     batch_size: int = 8
     momentum: float = 0.9
@@ -50,20 +50,6 @@ class TrainConfig:
             raise ConfigError(f"precision must be one of {sorted(tensor.MODES)}, "
                               f"got {self.precision!r}")
 
-    def to_text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n"
-                       for f in dataclasses.fields(self))
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "TrainConfig":
-        """Parse the fields present in `kv`; other keys are ignored and an
-        absent optional field takes its default."""
-        types = typing.get_type_hints(cls)
-        try:
-            return cls(**{k: types[k](kv[k]) for k in types if k in kv})
-        except ValueError as exc:
-            raise ConfigError(f"bad training option: {exc}") from exc
-
 
 @dataclass
 class TrainResult:
@@ -74,7 +60,11 @@ class TrainResult:
 
 
 def prepare_targets(masks, config: ModelConfig):
-    """Decimated segmentation masks plus per-level presence targets."""
+    """Decimated segmentation masks plus per-level presence targets; a mask
+    whose shape is not the config's input size is a ConfigError."""
+    for m in masks:
+        if m.shape != config.input_size:
+            raise ConfigError(f"mask shape {m.shape} is not input_size {config.input_size}")
     grids = [downsample_mask(m, config.s_low, config.num_classes) for m in masks]
     targets = [multilabel_from_grid_mask(g, config) for g in grids]
     return grids, targets
@@ -313,8 +303,7 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     Every variant's config, the batch size and the labels of both splits
     are checked, and each variant's targets built, before anything is
     written."""
-    cfgs = [dataclasses.replace(base_cfg, levels=j, window_sizes=base_cfg.window_sizes[:j])
-            for j in levels]
+    cfgs = [dataclasses.replace(base_cfg, levels=j) for j in levels]
     masks = [corpus.load_mask(i) for i in _train_indices(corpus, train_cfg)]
     prepared = [prepare_targets(masks, cfg) for cfg in cfgs]
     val = corpus.indices("val")

@@ -15,6 +15,10 @@ MODEL_FLAGS = ["--classes", "4", "--input-size", "32x32",
                "--low-channels", "8/2,8/2", "--seg-channels", "8,8",
                "--windows", "5,3,1"]
 
+# the smallest grad-check network, which keeps the check quick: its 1x1
+# DML grid takes windows up to 3
+SMALL_CHECK = ["--input-size", "8x8", "--levels", "2", "--windows", "3,1"]
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -100,7 +104,8 @@ def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
     manifest = bad / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
     for line, edited in (("shapes_min = 3", "shapes_min = -3"), ("jitter = 0.08", "jitter = -1"),
-                         ("noise = 0.03", "noise 0.03"), ("size = 32x32", "size = 0x0")):
+                         ("noise = 0.03", "noise 0.03"), ("size = 32x32", "size = 0x0"),
+                         ("pools = 1|2,3", "pools = 1,2,3|"), ("seed = 2", "")):
         assert f"\n{line}\n" in text
         manifest.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
         assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
@@ -159,6 +164,23 @@ def test_labels_beyond_model_classes_exit_2(command, tmp_path, capsys):
     assert not out.exists()  # nothing written
 
 
+@pytest.mark.parametrize("command", ["gen-gt", "train", "experiment"])
+def test_corpus_of_another_size_exits_1(command, corpus_dir, tmp_path, capsys):
+    model = [v if v != "32x32" else "16x16" for v in MODEL_FLAGS]  # corpus_dir is 32x32
+    out = tmp_path / "out"
+    extra = [] if command == "gen-gt" else ["--iterations", "1", "--batch-size", "2"]
+    assert main([command, "--corpus", str(corpus_dir), "--out", str(out),
+                 *model, *extra]) == 1
+    assert "mask shape (32, 32) is not input_size (16, 16)" in capsys.readouterr().err
+    assert not out.exists()  # nothing written
+
+
+def test_gen_data_two_classes(tmp_path):
+    assert main(["gen-data", "--out", str(tmp_path / "c"), "--train", "2", "--val", "1",
+                 "--classes", "2", "--input-size", "16x16"]) == 0
+    assert read_corpus(tmp_path / "c").spec.pools == ((1,),)
+
+
 @pytest.mark.parametrize("val, extra, code, message", [
     ("2", ["--classes", "4"], 2, "is outside 0..3"),
     ("2", ["--batch-size", "5"], 1, "batch size 5 exceeds 4 training images"),
@@ -172,8 +194,8 @@ def test_experiment_checks_every_variant_before_writing(val, extra, code, messag
                  "--seed", "2", "--classes", "8", "--input-size", "32x32"]) == 0
     out = tmp_path / "exp"
     argv = ["experiment", "--corpus", str(corpus), "--out", str(out), "--input-size", "32x32",
-            "--low-channels", "8/2,8/2", "--seg-channels", "8,8", "--iterations", "1",
-            "--batch-size", "2", "--run-levels", "0", *extra]
+            "--low-channels", "8/2,8/2", "--seg-channels", "8,8", "--windows", "5,3,1",
+            "--iterations", "1", "--batch-size", "2", "--run-levels", "0", *extra]
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists()  # nothing written, not even experiment_config.txt
@@ -235,7 +257,7 @@ def test_gen_data_reads_scene_keys_from_config_file(tmp_path):
 def test_grad_check_reads_seed_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed = 3\n")
-    small = ["--input-size", "8x8", "--tolerance", "1"]
+    small = [*SMALL_CHECK, "--tolerance", "1"]
     outputs = []
     for extra in (["--config", str(cfg)], ["--seed", "3"], ["--seed", "0"]):
         assert main(["grad-check", *small, *extra]) == 0
@@ -251,9 +273,7 @@ def test_grad_check_command(capsys):
 
 
 def test_grad_check_impossible_tolerance_exits_3(capsys):
-    # smallest legal grid keeps the failure-path test quick
-    code = main(["grad-check", "--tolerance", "0", "--seed", "0",
-                 "--input-size", "8x8"])
+    code = main(["grad-check", "--tolerance", "0", "--seed", "0", *SMALL_CHECK])
     assert code == 3
 
 
@@ -365,7 +385,7 @@ def test_describe_command(capsys):
     (["describe", "--input-size", "32"], ""),
     (["describe", "--low-channels", "8x2"], ""),
     (["describe", "--windows", "5,a"], ""),
-    (["grad-check", "--input-size", "8x8"], "seed = 1.5\n"),
+    (["grad-check", *SMALL_CHECK], "seed = 1.5\n"),
     (["gen-data", "--out", "{out}", "--input-size", "32"], ""),
     (["gen-data", "--out", "{out}"], "n_train = many\n"),
     (["gen-data", "--out", "{out}"], "pools = 1,2|x\n"),
@@ -405,7 +425,9 @@ def test_describe_command(capsys):
     (["describe", "--classes", "256"], ""),
     (["gen-data", "--out", "{out}", "--seed", "-1"], ""),
     (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS, "--seed", "-1"], ""),
-    (["grad-check", "--input-size", "8x8", "--seed", "-1"], ""),
+    (["grad-check", *SMALL_CHECK, "--seed", "-1"], ""),
+    (["describe", "--windows", "9999,5,3"], ""),
+    (["gen-data", "--out", "{out}"], "num_classes = 3\npools = 1,2|\n"),
 ], ids=["levels", "num_classes", "train-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
         "run-levels", "unknown-key", "line-without-equals", "non-utf8",
@@ -416,7 +438,8 @@ def test_describe_command(capsys):
         "predict-unknown-key", "predict-line-without-equals", "predict-missing-file",
         "train-precision", "experiment-precision", "train-precision-flag",
         "gen-data-300-classes", "256-classes", "gen-data-negative-seed",
-        "train-negative-seed", "grad-check-negative-seed"])
+        "train-negative-seed", "grad-check-negative-seed", "huge-window",
+        "empty-pool"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp_path,
                                         capsys):
     cfg = tmp_path / "bad.cfg"

@@ -2,7 +2,7 @@
 flags of `describe`, `gen-data`, `gen-gt`, `eval` and `predict` hold,
 `main` returns 0, 1, 2 or 3, or argparse exits 1, and no other exception
 escapes.  Numbers are bounded only to keep allocations small: sizes up to
-64, widths up to 16, scene counts up to 3, windows up to 15 and classes
+64, widths up to 16, scene counts up to 3, windows up to 10**6 and classes
 up to 300."""
 
 import shutil
@@ -60,8 +60,8 @@ MODEL_FLAG_VALUES = {
                                                                 STRIDE), ",")),
     "--seg-channels": st.one_of(_value(WIDTH), _joined(WIDTH, ",")),
     "--dml-extra-stride": _value(st.integers(-1, 8)),
-    "--windows": st.one_of(_value(st.integers(-1, 15)),
-                           _joined(st.integers(-1, 15).map(str), ",", 4)),
+    "--windows": st.one_of(_value(st.integers(-1, 10 ** 6)),
+                           _joined(st.integers(-1, 10 ** 6).map(str), ",", 4)),
     "--lambda": _value(st.floats(-2, 2)),
     "--levels": _value(st.integers(-1, 4)),
 }

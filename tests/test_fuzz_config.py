@@ -1,8 +1,8 @@
 """Property tests of the `key = value` readers: whatever text a config file
-or a corpus manifest holds, `parse_kv` plus `TrainConfig.from_kv` and
-`ModelConfig.from_kv` either succeed or raise ConfigError, and
-`read_corpus` either succeeds or raises DataError, never any other
-exception."""
+or a corpus manifest holds, `parse_kv` plus `TrainConfig.from_kv`,
+`ModelConfig.from_kv` and `SceneSpec.from_kv` either succeed or raise
+ConfigError, and `read_corpus` either succeeds or raises DataError, never
+any other exception."""
 
 import shutil
 
@@ -20,7 +20,8 @@ VALID_CONFIG = {"num_classes": "4", "input_size": "32x32", "low_channels": "8/2,
                 "dml_extra_stride": "2", "lambda": "1.0", "iterations": "3",
                 "batch_size": "2", "momentum": "0.9", "weight_decay": "0.0005",
                 "lr": "0.01", "seed": "0", "eval_every": "0", "precision": "train32",
-                "lr_poly": "0.0"}
+                "lr_poly": "0.0", "size": "32x32", "pools": "1|2,3", "shapes_min": "3",
+                "shapes_max": "6", "jitter": "0.08", "noise": "0.03"}
 
 # values that reach past the number parsers: signs, exponents, non-finite
 # floats, separators out of place, empty fields
@@ -53,7 +54,7 @@ def test_config_readers_raise_only_config_error(text):
         kv = parse_kv(text)
     except ConfigError:
         return
-    for parse in (TrainConfig.from_kv, ModelConfig.from_kv):
+    for parse in (TrainConfig.from_kv, ModelConfig.from_kv, SceneSpec.from_kv):
         try:
             parse(kv)
         except ConfigError:
@@ -105,4 +106,5 @@ def test_valid_seed_texts_parse(corpus_root):
     kv = parse_kv("".join(f"{k} = {v}\n" for k, v in VALID_CONFIG.items()))
     assert TrainConfig.from_kv(kv).iterations == 3
     assert ModelConfig.from_kv(kv).levels == 3
+    assert SceneSpec.from_kv(kv).pools == ((1,), (2, 3))
     assert len(read_corpus(corpus_root).entries) == 2

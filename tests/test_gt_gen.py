@@ -184,4 +184,8 @@ class TestMultilabelGt:
     def test_indivisible_mask_rejected(self):
         cfg = desk_config()
         with pytest.raises(ConfigError, match="divisible"):
-            targets_of(np.zeros((30, 32), dtype=np.uint8), cfg)
+            downsample_mask(np.zeros((30, 32), dtype=np.uint8), cfg.s_low, cfg.num_classes)
+
+    def test_mask_of_another_size_rejected(self):
+        with pytest.raises(ConfigError, match=r"mask shape \(16, 16\) is not input_size"):
+            targets_of(np.zeros((16, 16), dtype=np.uint8), desk_config())

@@ -1,0 +1,64 @@
+"""The `key = value` codec shared by ModelConfig, TrainConfig and SceneSpec.
+The golden texts pin the bytes of checkpoint and gt-cache headers, corpus
+manifests and experiment_config.txt."""
+
+import dataclasses
+
+import pytest
+
+from dmlseg.errors import ConfigError
+from dmlseg.model import ModelConfig
+from dmlseg.synth_data import SceneSpec
+from dmlseg.train import TrainConfig
+
+DESK = ModelConfig(num_classes=8, input_size=(96, 96), low_channels=((24, 2), (48, 2)),
+                   seg_channels=(64, 64))
+DESK_TEXT = ("num_classes = 8\ninput_size = 96x96\nlow_channels = 24/2,48/2\n"
+             "seg_channels = 64,64\ndml_extra_stride = 2\nwindow_sizes = 11,5,3\n"
+             "lambda = 1.0\nlevels = 3\n")
+SCENE = SceneSpec(seed=4, size=(16, 24), num_classes=5, pools=((3, 1), (2, 4)), jitter=0.1)
+
+
+def test_golden_texts():
+    assert DESK.to_text() == DESK_TEXT
+    assert dataclasses.replace(DESK, levels=0).to_text() == DESK_TEXT.replace(
+        "window_sizes = 11,5,3", "window_sizes = ").replace("levels = 3", "levels = 0")
+    assert TrainConfig().to_text() == (
+        "iterations = 300\nbatch_size = 8\nmomentum = 0.9\nweight_decay = 0.0005\n"
+        "lr = 0.01\nseed = 0\neval_every = 0\nprecision = train32\nlr_poly = 0.0\n")
+    assert SCENE.to_text() == ("seed = 4\nsize = 16x24\nnum_classes = 5\npools = 1,3|2,4\n"
+                               "shapes_min = 3\nshapes_max = 6\njitter = 0.1\nnoise = 0.03\n")
+
+
+@pytest.mark.parametrize("config", [DESK, dataclasses.replace(DESK, levels=0, lam=0.25),
+                                    TrainConfig(lr=0.5, precision="check64"), SCENE,
+                                    SceneSpec(seed=0, num_classes=2)], ids=str)
+def test_text_round_trip(config):
+    assert type(config).from_text(config.to_text()) == config
+    assert tuple(config.to_kv()) == type(config).keys()
+
+
+def test_keys_follow_fields_and_renames():
+    assert ModelConfig.keys() == ("num_classes", "input_size", "low_channels", "seg_channels",
+                                  "dml_extra_stride", "window_sizes", "lambda", "levels")
+    assert SceneSpec.keys()[:4] == ("seed", "size", "num_classes", "pools")
+
+
+def test_absent_fields_take_their_defaults():
+    kv = {"num_classes": "8", "input_size": "96x96", "low_channels": "24/2,48/2",
+          "seg_channels": "64,64", "levels": "1", "stray": "x"}
+    assert ModelConfig.from_kv(kv) == dataclasses.replace(DESK, levels=1)
+    assert SceneSpec.from_kv({"seed": "0", "num_classes": "2"}).pools == ((1,),)
+
+
+@pytest.mark.parametrize("cls, kv, message", [
+    (ModelConfig, {"num_classes": "8"}, "missing key input_size"),
+    (SceneSpec, {}, "missing key seed"),
+    (SceneSpec, {"seed": "0", "size": "3x4x5"}, "bad size '3x4x5': expected 2 values"),
+    (SceneSpec, {"seed": "0", "pools": "1,x|2"}, "bad pools '1,x|2': invalid literal"),
+    (TrainConfig, {"lr": "fast"}, "bad lr 'fast'"),
+    (ModelConfig, {**DESK.to_kv(), "low_channels": "24/2/2"}, "bad low_channels"),
+])
+def test_malformed_or_missing_values_raise_config_error(cls, kv, message):
+    with pytest.raises(ConfigError, match=message):
+        cls.from_kv(kv)

@@ -39,7 +39,7 @@ class TestModelConfig:
         # heads at 1/32 resolution
         cfg = ModelConfig(num_classes=8, input_size=(224, 224),
                           low_channels=((8, 2), (8, 2), (8, 2)), seg_channels=(8, 8),
-                          dml_extra_stride=4, window_sizes=(35, 17, 7), levels=3)
+                          dml_extra_stride=4, window_sizes=(15, 9, 7), levels=3)
         assert cfg.s_low == 8
         assert cfg.s_dml == 32
         assert cfg.head_strides() == (2, 2)
@@ -57,6 +57,17 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="window"):
             tiny_config(window_sizes=(5, 3), levels=3)
 
+    def test_levels_keep_the_first_default_windows(self):
+        cfg = ModelConfig(num_classes=4, input_size=(96, 96), low_channels=((8, 2), (8, 2)),
+                          seg_channels=(8, 8), levels=1)
+        assert cfg.window_sizes == (11,)
+
+    def test_window_above_twice_the_grid_rejected(self):
+        assert tiny_config(window_sizes=(9, 3, 1)).window_sizes == (9, 3, 1)  # 4x4 grid
+        for windows in ((11, 3, 1), (9999, 5, 3)):
+            with pytest.raises(ConfigError, match="at most 9 on a 4x4 DML grid"):
+                tiny_config(window_sizes=windows)
+
     def test_indivisible_input_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
             tiny_config(input_size=(30, 32))
@@ -68,10 +79,10 @@ class TestModelConfig:
         assert ModelConfig.from_text(cfg0.to_text()) == cfg0
 
     def test_from_kv_field_defaults_and_level_prefix(self):
-        base = {"num_classes": "4", "input_size": "32x32",
+        base = {"num_classes": "4", "input_size": "48x48",  # a 6x6 grid fits window 11
                 "low_channels": "8/2,8/2", "seg_channels": "8,8"}
         assert ModelConfig.from_kv(base) == ModelConfig(
-            num_classes=4, input_size=(32, 32), low_channels=((8, 2), (8, 2)),
+            num_classes=4, input_size=(48, 48), low_channels=((8, 2), (8, 2)),
             seg_channels=(8, 8))
         assert ModelConfig.from_kv({**base, "levels": "1"}).window_sizes == (11,)
         assert ModelConfig.from_kv(

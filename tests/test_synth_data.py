@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dmlseg.errors import ConfigError, DataError
-from dmlseg.synth_data import (SceneSpec, _corpus_hash, class_colors, generate_scene,
-                               read_corpus, read_pgm, read_ppm, write_corpus,
+from dmlseg.synth_data import (SceneSpec, _corpus_hash, class_colors, default_pools,
+                               generate_scene, read_corpus, read_pgm, read_ppm, write_corpus,
                                write_pgm, write_ppm)
 
 
@@ -55,6 +55,17 @@ class TestGenerateScene:
     def test_pools_must_partition(self):
         with pytest.raises(ConfigError, match="partition"):
             SceneSpec(seed=0, num_classes=8, pools=((1, 2), (4, 5, 6, 7)))
+
+    def test_two_classes_make_one_pool(self, tmp_path):
+        assert default_pools(8) == ((1, 2, 3), (4, 5, 6, 7))
+        assert default_pools(3) == ((1,), (2,))
+        assert default_pools(2) == ((1,),)
+        corpus = write_corpus(SceneSpec(seed=0, size=(8, 8), num_classes=2), 2, 1, tmp_path)
+        assert read_corpus(tmp_path).spec == corpus.spec
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ConfigError, match="every pool must hold a class"):
+            SceneSpec(seed=0, num_classes=3, pools=((1, 2), ()))
 
     @pytest.mark.parametrize("field, value", [
         ("size", (0, 0)), ("size", (32, -1)), ("jitter", -1.0), ("jitter", float("inf")),
