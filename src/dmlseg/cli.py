@@ -2,10 +2,12 @@
 
 Subcommands: gen-data, gen-gt, train, eval, predict, grad-check,
 experiment, describe.  Options may come from a `key = value` config file
-via --config; explicit flags override file values.  Only gen-data, train,
-experiment and grad-check take --seed.  Exit codes: 0 success, 1 usage or
-config (a bad flag or --config value), 2 data (a bad manifest or
-checkpoint header value, named by the file's path), 3 numeric.
+via --config; explicit flags override file values.  A command's flags
+are the config keys it reads, `--` plus the key with `_` as `-`, and a
+flag's value is parsed like the same key in the file.  Exit codes: 0
+success, 1 usage or config (a bad flag or --config value), 2 data (a bad
+manifest or checkpoint header value, named by the file's path), 3
+numeric.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .errors import ConfigError, DataError, NumericError, UsageError
 from .kv import parse_kv
 from .metrics import report_csv, report_table
 from .model import ModelConfig, build_model, describe, forward, predict_labels
-from .synth_data import (SceneSpec, palette, read_corpus, read_ppm, write_corpus,
-                         write_pgm, write_ppm)
+from .synth_data import (SceneSpec, SplitCounts, palette, read_corpus, read_ppm,
+                         write_corpus, write_pgm, write_ppm)
 from .tensor import Tensor
-from .train import (TrainConfig, evaluate, grad_check, prepare_targets,
-                    run_experiment, train)
+from .train import (ExperimentConfig, TrainConfig, evaluate, grad_check,
+                    prepare_targets, run_experiment, train)
 
 MODEL_DEFAULTS = {
     "num_classes": "8",
@@ -43,39 +45,23 @@ CHECK_DEFAULTS = {
     "window_sizes": "5,3,1",
 }
 
-# the keys a flag may override; each flag's dest is its key
-CONFIG_KEYS = frozenset((*ModelConfig.keys(), *TrainConfig.keys(),
-                         "n_train", "n_val", "run_levels"))
+# every config some command reads
+CONFIGS = (ModelConfig, TrainConfig, SceneSpec, SplitCounts, ExperimentConfig)
 
-# the keys a config file may hold: the flags' keys plus gen-data's scene keys
-FILE_KEYS = CONFIG_KEYS.union(SceneSpec.keys())
+# the keys a config file may hold; a flag's dest is its key
+CONFIG_KEYS = frozenset(key for cls in CONFIGS for key in cls.keys())
+
+# how each key's value reads, for --help
+FORMS = {key: form for cls in CONFIGS for key, form in cls.forms().items()}
+
+# the flags not named `--` plus the key with `_` as `-`
+FLAG_NAMES = {"num_classes": "--classes", "window_sizes": "--windows",
+              "n_train": "--train", "n_val": "--val"}
 
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_model_flags(sub):
-    sub.add_argument("--classes", type=int, dest="num_classes")
-    sub.add_argument("--input-size", dest="input_size", help="HxW")
-    sub.add_argument("--low-channels", dest="low_channels", help="w/s,w/s,...")
-    sub.add_argument("--seg-channels", dest="seg_channels", help="w,w,...")
-    sub.add_argument("--dml-extra-stride", type=int, dest="dml_extra_stride")
-    sub.add_argument("--windows", dest="window_sizes", help="odd,decreasing")
-    sub.add_argument("--lambda", type=float, dest="lambda")
-    sub.add_argument("--levels", type=int)
-
-
-def _add_train_flags(sub):
-    sub.add_argument("--iterations", type=int)
-    sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--momentum", type=float)
-    sub.add_argument("--weight-decay", type=float, dest="weight_decay")
-    sub.add_argument("--lr-poly", type=float, dest="lr_poly")
-    sub.add_argument("--eval-every", type=int, dest="eval_every")
-    sub.add_argument("--precision")
 
 
 def _file_kv(args) -> dict[str, str]:
@@ -89,7 +75,7 @@ def _file_kv(args) -> dict[str, str]:
         kv = parse_kv(path.read_text(encoding="utf-8"))
     except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
-    unknown = sorted(kv.keys() - FILE_KEYS)
+    unknown = sorted(kv.keys() - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
     return kv
@@ -99,24 +85,18 @@ def _merged(args, defaults: dict[str, str]) -> dict[str, str]:
     """defaults < config file < explicit flags."""
     kv = dict(defaults)
     kv.update(_file_kv(args))
-    kv.update({k: str(v) for k, v in vars(args).items()
-               if k in CONFIG_KEYS and v is not None})
+    kv.update({k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None})
     return kv
 
 
 def _cmd_gen_data(args) -> int:
-    kv = _merged(args, {"n_train": "500", "n_val": "100", "seed": "0"})
-    try:
-        n_train, n_val = int(kv["n_train"]), int(kv["n_val"])
-    except ValueError as exc:
-        raise ConfigError(f"bad data option: {exc}") from exc
-    if min(n_train, n_val) < 0:
-        raise ConfigError(f"scene counts must be non-negative, got {n_train} and {n_val}")
+    kv = _merged(args, {"seed": "0"})
+    counts = SplitCounts.from_kv(kv)
     if "input_size" in kv:
         kv["size"] = kv["input_size"]
     spec = SceneSpec.from_kv(kv)
-    corpus = write_corpus(spec, n_train, n_val, args.out)
-    print(f"wrote {n_train} train / {n_val} val scenes to {corpus.root}")
+    corpus = write_corpus(spec, counts.n_train, counts.n_val, args.out)
+    print(f"wrote {counts.n_train} train / {counts.n_val} val scenes to {corpus.root}")
     return 0
 
 
@@ -196,13 +176,10 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_experiment(args) -> int:
     corpus = read_corpus(args.corpus)
-    kv = _merged(args, {**MODEL_DEFAULTS, "run_levels": "0,1,2,3"})
+    kv = _merged(args, MODEL_DEFAULTS)
     base_cfg = ModelConfig.from_kv(kv)
     train_cfg = TrainConfig.from_kv(kv)
-    try:
-        levels = tuple(int(v) for v in kv["run_levels"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad run_levels: {exc}") from exc
+    levels = ExperimentConfig.from_kv(kv).run_levels
     csv_text, _ = run_experiment(corpus, base_cfg, train_cfg, args.out, levels)
     sys.stdout.write(csv_text)
     return 0
@@ -219,67 +196,52 @@ def build_parser() -> Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="key = value config file")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int)
+    model, trained = ModelConfig.keys(), ModelConfig.keys() + TrainConfig.keys()
 
-    p = subs.add_parser("gen-data", parents=[seeded], help="generate a synthetic corpus")
+    def command(name, func, about, keys=()):
+        """A subcommand taking --config and one flag per config key in `keys`."""
+        p = subs.add_parser(name, parents=[common], help=about)
+        for key in keys:
+            p.add_argument(FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key,
+                           metavar=FORMS[key])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-data", _cmd_gen_data, "generate a synthetic corpus",
+                ("seed", *SplitCounts.keys(), "num_classes", "input_size"))
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--train", type=int, dest="n_train")
-    p.add_argument("--val", type=int, dest="n_val")
-    p.add_argument("--classes", type=int, dest="num_classes")
-    p.add_argument("--input-size", dest="input_size", help="HxW")
-    p.set_defaults(func=_cmd_gen_data)
 
-    p = subs.add_parser("gen-gt", parents=[common],
-                        help="cache multi-label targets for a corpus")
-    _add_model_flags(p)
+    p = command("gen-gt", _cmd_gen_gt, "cache multi-label targets for a corpus", model)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_gen_gt)
 
-    p = subs.add_parser("train", parents=[seeded], help="train a model on a corpus")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    p = command("train", _cmd_train, "train a model on a corpus", trained)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--gt-cache", type=Path, dest="gt_cache")
-    p.set_defaults(func=_cmd_train)
 
-    p = subs.add_parser("eval", parents=[common],
-                        help="evaluate a checkpoint on a corpus split")
+    p = command("eval", _cmd_eval, "evaluate a checkpoint on a corpus split")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--split", default="val", choices=("train", "val"))
     p.add_argument("--out", type=Path, help="write per-class CSV here")
-    p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("predict", parents=[common], help="label one PPM image")
+    p = command("predict", _cmd_predict, "label one PPM image")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--image", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True,
                    help="output prefix (.pgm labels + .ppm colors)")
-    p.set_defaults(func=_cmd_predict)
 
-    p = subs.add_parser("grad-check", parents=[seeded],
-                        help="finite-difference gradient check")
-    _add_model_flags(p)
+    p = command("grad-check", _cmd_grad_check, "finite-difference gradient check",
+                (*model, "seed"))
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(func=_cmd_grad_check)
 
-    p = subs.add_parser("experiment", parents=[seeded],
-                        help="levels ablation: train/eval variants")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    p = command("experiment", _cmd_experiment, "levels ablation: train/eval variants",
+                trained + ExperimentConfig.keys())
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--run-levels", dest="run_levels",
-                   help="comma list of level counts to compare (default 0,1,2,3)")
-    p.set_defaults(func=_cmd_experiment)
 
-    p = subs.add_parser("describe", parents=[common], help="print the layer inventory")
-    _add_model_flags(p)
-    p.set_defaults(func=_cmd_describe)
-
+    command("describe", _cmd_describe, "print the layer inventory", model)
     return parser
 
 

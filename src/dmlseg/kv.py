@@ -38,20 +38,21 @@ def _joined(sep: str, item=(int, str), size: int | None = None):
     return parse_all, lambda value: sep.join([spell(v) for v in value])
 
 
-# field annotation -> (parse a value's text, spell a value); numbers and
-# strings are spelled as text
+# field annotation -> (parse a value's text, spell a value, how the text
+# reads); numbers and strings are spelled as text
 _SPELLINGS = {
-    **{t: (t, str) for t in (int, float, str)},
-    tuple[int, int]: _joined("x", size=2),
-    tuple[int, ...]: _joined(","),
-    tuple[tuple[int, int], ...]: _joined(",", _joined("/", size=2)),
-    tuple[tuple[int, ...], ...]: _joined("|", _joined(",")),
+    **{t: (t, str, t.__name__) for t in (int, float, str)},
+    tuple[int, int]: (*_joined("x", size=2), "HxW"),
+    tuple[int, ...]: (*_joined(","), "a,b"),
+    tuple[tuple[int, int], ...]: (*_joined(",", _joined("/", size=2)), "w/s,w/s"),
+    tuple[tuple[int, ...], ...]: (*_joined("|", _joined(",")), "a,b|c"),
 }
 
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, key, parse, spell, required) per field of `cls`, in field order."""
+    """(name, key, parse, spell, form, required) per field of `cls`, in
+    field order."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, f.metadata.get("key", f.name), *_SPELLINGS[hints[f.name]],
                   f.default is dataclasses.MISSING) for f in dataclasses.fields(cls))
@@ -65,20 +66,25 @@ class KvConfig:
     def keys(cls) -> tuple[str, ...]:
         return tuple(key for _, key, *_ in _fields(cls))
 
+    @classmethod
+    def forms(cls) -> dict[str, str]:
+        """How each key's text reads: `int`, `HxW`, `a,b`, ..."""
+        return {key: form for _, key, _, _, form, _ in _fields(cls)}
+
     def to_kv(self) -> dict[str, str]:
         return {key: spell(getattr(self, name))
-                for name, key, _, spell, _ in _fields(type(self))}
+                for name, key, _, spell, _, _ in _fields(type(self))}
 
     def to_text(self) -> str:
         return "".join([f"{key} = {spell(getattr(self, name))}\n"
-                        for name, key, _, spell, _ in _fields(type(self))])
+                        for name, key, _, spell, _, _ in _fields(type(self))])
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]):
         """Other keys are ignored and an absent field takes its default; a
         malformed value or a missing required field is a ConfigError."""
         values = {}
-        for name, key, parse, _, required in _fields(cls):
+        for name, key, parse, _, _, required in _fields(cls):
             if key in kv:
                 try:
                     values[name] = parse(kv[key])

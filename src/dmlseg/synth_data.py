@@ -12,6 +12,7 @@ from __future__ import annotations
 import colorsys
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +67,18 @@ class SceneSpec(KvConfig):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+
+
+@dataclass(frozen=True)
+class SplitCounts(KvConfig):
+    """The train and val scene counts gen-data writes and a manifest states."""
+    n_train: int = 500
+    n_val: int = 100
+
+    def __post_init__(self):
+        if min(self.n_train, self.n_val) < 0:
+            raise ConfigError(f"scene counts must be non-negative, "
+                              f"got {self.n_train} and {self.n_val}")
 
 
 def class_colors(spec: SceneSpec) -> np.ndarray:
@@ -226,6 +239,7 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
     With 500+ scenes a class-balance check runs: every foreground class
     must appear in at least 5% of its pool's images.
     """
+    counts = SplitCounts(n_train, n_val)
     root = Path(out_dir)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)
@@ -254,13 +268,10 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
                         f"regenerate with a different seed")
 
     content_hash = _corpus_hash(root, entries)
-    lines = [f"format = {MANIFEST_FORMAT}"]
-    lines += [f"{k} = {v}" for k, v in spec.to_kv().items()]
-    lines.append(f"n_train = {n_train}")
-    lines.append(f"n_val = {n_val}")
-    lines.append(f"hash = {content_hash}")
-    lines += [f"{split}\t{img}\t{msk}" for split, img, msk in entries]
-    write_atomic(root / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))
+    text = (f"format = {MANIFEST_FORMAT}\n{spec.to_text()}{counts.to_text()}"
+            f"hash = {content_hash}\n"
+            + "".join(f"{split}\t{img}\t{msk}\n" for split, img, msk in entries))
+    write_atomic(root / "manifest.txt", text.encode("utf-8"))
     return Corpus(root=root, spec=spec, entries=entries, content_hash=content_hash)
 
 
@@ -290,9 +301,16 @@ def read_corpus(dir_path: Path) -> Corpus:
         kv = parse_kv("\n".join(kv_lines))
         if kv.get("format") != MANIFEST_FORMAT:
             raise ConfigError(f"unknown corpus format {kv.get('format')!r}")
-        if missing := [k for k in SceneSpec.keys() if k not in kv]:
+        if missing := [k for k in (*SceneSpec.keys(), *SplitCounts.keys()) if k not in kv]:
             raise ConfigError(f"missing key {', '.join(missing)}")
         spec = SceneSpec.from_kv(kv)
+        counts = SplitCounts.from_kv(kv)
+        splits = Counter(split for split, _, _ in entries)
+        if other := sorted(splits.keys() - {"train", "val"}):
+            raise ConfigError(f"entry split {other[0]!r} is neither 'train' nor 'val'")
+        if (splits["train"], splits["val"]) != (counts.n_train, counts.n_val):
+            raise ConfigError(f"n_train = {counts.n_train} and n_val = {counts.n_val}, but "
+                              f"the entries hold {splits['train']} and {splits['val']}")
     except ConfigError as exc:
         raise DataError(f"{manifest}: {exc}") from exc
     for _, img, msk in entries:

@@ -51,6 +51,15 @@ class TrainConfig(KvConfig):
                               f"got {self.precision!r}")
 
 
+@dataclass(frozen=True)
+class ExperimentConfig(KvConfig):
+    run_levels: tuple[int, ...] = (0, 1, 2, 3)  # one variant per level count
+
+    def __post_init__(self):
+        if not self.run_levels:
+            raise ConfigError("run_levels must name at least one level count")
+
+
 @dataclass
 class TrainResult:
     model: Model
@@ -303,7 +312,8 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     Every variant's config, the batch size and the labels of both splits
     are checked, and each variant's targets built, before anything is
     written."""
-    cfgs = [dataclasses.replace(base_cfg, levels=j) for j in levels]
+    runs = ExperimentConfig(tuple(levels))
+    cfgs = [dataclasses.replace(base_cfg, levels=j) for j in runs.run_levels]
     masks = [corpus.load_mask(i) for i in _train_indices(corpus, train_cfg)]
     prepared = [prepare_targets(masks, cfg) for cfg in cfgs]
     val = corpus.indices("val")
@@ -313,12 +323,11 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
         check_labels(corpus.load_mask(i), base_cfg.num_classes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = (base_cfg.to_text() + train_cfg.to_text()
-                + f"run_levels = {','.join(str(j) for j in levels)}\n")
+    manifest = base_cfg.to_text() + train_cfg.to_text() + runs.to_text()
     write_atomic(out / "experiment_config.txt", manifest.encode("utf-8"))
     rows = [EXPERIMENT_HEADER]
     eval_reports = []
-    for j, cfg, (grids, targets) in zip(levels, cfgs, prepared):
+    for j, cfg, (grids, targets) in zip(runs.run_levels, cfgs, prepared):
         result = train(corpus, cfg, train_cfg, out / f"level{j}", grids, targets)
         report = evaluate(result.model, corpus, "val")
         eval_reports.append(report)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import shutil
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from dmlseg.checkpoint import load_container, save_container
-from dmlseg.cli import main
+from dmlseg.cli import CONFIG_KEYS, build_parser, main
 from dmlseg.kv import parse_kv
 from dmlseg.synth_data import read_corpus, read_pgm, read_ppm
 from dmlseg.train import TrainConfig
@@ -105,7 +106,10 @@ def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
     text = manifest.read_text(encoding="utf-8")
     for line, edited in (("shapes_min = 3", "shapes_min = -3"), ("jitter = 0.08", "jitter = -1"),
                          ("noise = 0.03", "noise 0.03"), ("size = 32x32", "size = 0x0"),
-                         ("pools = 1|2,3", "pools = 1,2,3|"), ("seed = 2", "")):
+                         ("pools = 1|2,3", "pools = 1,2,3|"), ("seed = 2", ""),
+                         ("n_train = 8", "n_train = 999"), ("n_val = 3", ""),
+                         ("val\timages/img_00010.ppm\tmasks/msk_00010.pgm",
+                          "test\timages/img_00010.ppm\tmasks/msk_00010.pgm")):
         assert f"\n{line}\n" in text
         manifest.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
         assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
@@ -428,6 +432,8 @@ def test_describe_command(capsys):
     (["grad-check", *SMALL_CHECK, "--seed", "-1"], ""),
     (["describe", "--windows", "9999,5,3"], ""),
     (["gen-data", "--out", "{out}"], "num_classes = 3\npools = 1,2|\n"),
+    (["experiment", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS,
+      "--run-levels", ""], ""),
 ], ids=["levels", "num_classes", "train-seed", "input-size", "low-channels",
         "windows", "grad-check-seed", "gen-data-size", "n_train", "pools", "lr",
         "run-levels", "unknown-key", "line-without-equals", "non-utf8",
@@ -439,7 +445,7 @@ def test_describe_command(capsys):
         "train-precision", "experiment-precision", "train-precision-flag",
         "gen-data-300-classes", "256-classes", "gen-data-negative-seed",
         "train-negative-seed", "grad-check-negative-seed", "huge-window",
-        "empty-pool"])
+        "empty-pool", "empty-run-levels"])
 def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp_path,
                                         capsys):
     cfg = tmp_path / "bad.cfg"
@@ -451,3 +457,97 @@ def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp
     assert main([*argv, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.cfg"}  # rejected before any write
+
+
+# every command's option strings: the flags made from config keys neither
+# gain nor lose one
+SURFACE = {
+    "gen-data": ["--classes", "--config", "--help", "--input-size", "--out", "--seed",
+        "--train", "--val", "-h"],
+    "gen-gt": ["--classes", "--config", "--corpus", "--dml-extra-stride", "--help",
+        "--input-size", "--lambda", "--levels", "--low-channels", "--out", "--seg-channels",
+        "--windows", "-h"],
+    "train": ["--batch-size", "--classes", "--config", "--corpus", "--dml-extra-stride",
+        "--eval-every", "--gt-cache", "--help", "--input-size", "--iterations", "--lambda",
+        "--levels", "--low-channels", "--lr", "--lr-poly", "--momentum", "--out",
+        "--precision", "--seed", "--seg-channels", "--weight-decay", "--windows", "-h"],
+    "eval": ["--checkpoint", "--config", "--corpus", "--help", "--out", "--split", "-h"],
+    "predict": ["--checkpoint", "--config", "--help", "--image", "--out", "-h"],
+    "grad-check": ["--classes", "--config", "--dml-extra-stride", "--help", "--input-size",
+        "--lambda", "--levels", "--low-channels", "--seed", "--seg-channels", "--tolerance",
+        "--windows", "-h"],
+    "experiment": ["--batch-size", "--classes", "--config", "--corpus", "--dml-extra-stride",
+        "--eval-every", "--help", "--input-size", "--iterations", "--lambda", "--levels",
+        "--low-channels", "--lr", "--lr-poly", "--momentum", "--out", "--precision",
+        "--run-levels", "--seed", "--seg-channels", "--weight-decay", "--windows", "-h"],
+    "describe": ["--classes", "--config", "--dml-extra-stride", "--help", "--input-size",
+        "--lambda", "--levels", "--low-channels", "--seg-channels", "--windows", "-h"],
+}
+
+
+def _commands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_flag_surface():
+    assert {name: sorted(s for a in p._actions for s in a.option_strings)
+            for name, p in _commands().items()} == SURFACE
+    assert sum(len(options) - 2 for options in SURFACE.values()) == 89  # without -h/--help
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_help_exits_0(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+
+
+def test_help_shows_each_value_spelling(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    out = capsys.readouterr().out
+    assert all(f"{flag}\n" in out for flag in (
+        "--input-size HxW", "--low-channels w/s,w/s", "--windows a,b", "--run-levels a,b",
+        "--classes int", "--lambda float", "--precision str"))
+
+
+# the quickest command that takes each config flag, and its other arguments
+QUICKEST = [("describe", []), ("grad-check", SMALL_CHECK), ("gen-data", ["--out", "{out}"]),
+            ("train", ["--corpus", "{corpus}", "--out", "{out}"]),
+            ("experiment", ["--corpus", "{corpus}", "--out", "{out}"])]
+
+
+def _config_flags():
+    """(key, flag, command, argv) for every config key that is a flag on some command."""
+    found = {}
+    for command, argv in QUICKEST:
+        for action in _commands()[command]._actions:
+            if action.dest in CONFIG_KEYS:
+                found.setdefault(action.dest, (action.option_strings[0], command, argv))
+    return [(key, *found[key]) for key in sorted(found)]
+
+
+CONFIG_FLAGS = _config_flags()
+
+
+def test_every_config_flag_is_covered():
+    flagged = {a.dest for p in _commands().values() for a in p._actions} & CONFIG_KEYS
+    assert {key for key, *_ in CONFIG_FLAGS} == flagged and len(flagged) == 20
+
+
+@pytest.mark.parametrize("key, flag, command, argv", CONFIG_FLAGS,
+                         ids=[flag for _, flag, _, _ in CONFIG_FLAGS])
+def test_flag_and_config_file_parse_a_value_alike(key, flag, command, argv, corpus_dir,
+                                                   tmp_path, capsys):
+    argv = [command, *(a.format(corpus=corpus_dir, out=tmp_path / "out") for a in argv)]
+    assert main([*argv, flag, "x"]) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = x\n", encoding="utf-8")
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == from_flag
+    # every text is a word, so `precision` can only be out of range
+    assert from_flag.startswith("error: precision must be one of" if key == "precision"
+                                else f"error: bad {key} 'x': ")
+    assert not (tmp_path / "out").exists()

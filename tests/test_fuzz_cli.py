@@ -1,6 +1,7 @@
 """Property test of the command line's exit codes: whatever values the
 flags of `describe`, `gen-data`, `gen-gt`, `eval` and `predict` hold,
-`main` returns 0, 1, 2 or 3, or argparse exits 1, and no other exception
+`main` returns 0, 1, 2 or 3 (a malformed config value is 1), or argparse
+exits 1 (a stray token or a bad `--split`), and no other exception
 escapes.  Numbers are bounded only to keep allocations small: sizes up to
 64, widths up to 16, scene counts up to 3, windows up to 10**6 and classes
 up to 300."""
@@ -30,7 +31,7 @@ def run(tmp_path_factory):
 
 def _value(numbers):
     """Half the time a bounded number, else a tricky or a random string:
-    most strings fail argparse's int and float types, and a number gets
+    most strings fail the config codec's number parse, and a number gets
     further into the command."""
     # decimal digits are left out so the text never parses as a number;
     # lone surrogates cannot be written to the captured stderr

@@ -1,7 +1,7 @@
 """Property tests of the `key = value` readers: whatever text a config file
-or a corpus manifest holds, `parse_kv` plus `TrainConfig.from_kv`,
-`ModelConfig.from_kv` and `SceneSpec.from_kv` either succeed or raise
-ConfigError, and `read_corpus` either succeeds or raises DataError, never
+or a corpus manifest holds, `parse_kv` plus the `from_kv` of every config
+(`TrainConfig`, `ModelConfig`, `SceneSpec`, `SplitCounts` and
+`ExperimentConfig`) either succeed or raise ConfigError, and `read_corpus` either succeeds or raises DataError, never
 any other exception."""
 
 import shutil
@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from dmlseg.errors import ConfigError, DataError
 from dmlseg.kv import parse_kv
 from dmlseg.model import ModelConfig
-from dmlseg.synth_data import SceneSpec, read_corpus, write_corpus
-from dmlseg.train import TrainConfig
+from dmlseg.synth_data import SceneSpec, SplitCounts, read_corpus, write_corpus
+from dmlseg.train import ExperimentConfig, TrainConfig
 
 VALID_CONFIG = {"num_classes": "4", "input_size": "32x32", "low_channels": "8/2,8/2",
                 "seg_channels": "8,8", "window_sizes": "5,3,1", "levels": "3",
@@ -21,7 +21,8 @@ VALID_CONFIG = {"num_classes": "4", "input_size": "32x32", "low_channels": "8/2,
                 "batch_size": "2", "momentum": "0.9", "weight_decay": "0.0005",
                 "lr": "0.01", "seed": "0", "eval_every": "0", "precision": "train32",
                 "lr_poly": "0.0", "size": "32x32", "pools": "1|2,3", "shapes_min": "3",
-                "shapes_max": "6", "jitter": "0.08", "noise": "0.03"}
+                "shapes_max": "6", "jitter": "0.08", "noise": "0.03", "n_train": "1",
+                "n_val": "1", "run_levels": "0,3"}
 
 # values that reach past the number parsers: signs, exponents, non-finite
 # floats, separators out of place, empty fields
@@ -54,9 +55,9 @@ def test_config_readers_raise_only_config_error(text):
         kv = parse_kv(text)
     except ConfigError:
         return
-    for parse in (TrainConfig.from_kv, ModelConfig.from_kv, SceneSpec.from_kv):
+    for cls in (TrainConfig, ModelConfig, SceneSpec, SplitCounts, ExperimentConfig):
         try:
-            parse(kv)
+            cls.from_kv(kv)
         except ConfigError:
             pass
 
@@ -107,4 +108,6 @@ def test_valid_seed_texts_parse(corpus_root):
     assert TrainConfig.from_kv(kv).iterations == 3
     assert ModelConfig.from_kv(kv).levels == 3
     assert SceneSpec.from_kv(kv).pools == ((1,), (2, 3))
+    assert SplitCounts.from_kv(kv) == SplitCounts(1, 1)
+    assert ExperimentConfig.from_kv(kv).run_levels == (0, 3)
     assert len(read_corpus(corpus_root).entries) == 2

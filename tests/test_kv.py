@@ -1,4 +1,4 @@
-"""The `key = value` codec shared by ModelConfig, TrainConfig and SceneSpec.
+"""The `key = value` codec shared by every config dataclass.
 The golden texts pin the bytes of checkpoint and gt-cache headers, corpus
 manifests and experiment_config.txt."""
 
@@ -8,8 +8,8 @@ import pytest
 
 from dmlseg.errors import ConfigError
 from dmlseg.model import ModelConfig
-from dmlseg.synth_data import SceneSpec
-from dmlseg.train import TrainConfig
+from dmlseg.synth_data import SceneSpec, SplitCounts
+from dmlseg.train import ExperimentConfig, TrainConfig
 
 DESK = ModelConfig(num_classes=8, input_size=(96, 96), low_channels=((24, 2), (48, 2)),
                    seg_channels=(64, 64))
@@ -32,10 +32,20 @@ def test_golden_texts():
 
 @pytest.mark.parametrize("config", [DESK, dataclasses.replace(DESK, levels=0, lam=0.25),
                                     TrainConfig(lr=0.5, precision="check64"), SCENE,
-                                    SceneSpec(seed=0, num_classes=2)], ids=str)
+                                    SceneSpec(seed=0, num_classes=2), SplitCounts(3, 0),
+                                    ExperimentConfig((0, 3))], ids=str)
 def test_text_round_trip(config):
     assert type(config).from_text(config.to_text()) == config
     assert tuple(config.to_kv()) == type(config).keys()
+
+
+def test_forms_name_each_spelling():
+    assert ModelConfig.forms() == {
+        "num_classes": "int", "input_size": "HxW", "low_channels": "w/s,w/s",
+        "seg_channels": "a,b", "dml_extra_stride": "int", "window_sizes": "a,b",
+        "lambda": "float", "levels": "int"}
+    assert SceneSpec.forms()["pools"] == "a,b|c"
+    assert TrainConfig.forms()["precision"] == "str"
 
 
 def test_keys_follow_fields_and_renames():
@@ -58,6 +68,9 @@ def test_absent_fields_take_their_defaults():
     (SceneSpec, {"seed": "0", "pools": "1,x|2"}, "bad pools '1,x|2': invalid literal"),
     (TrainConfig, {"lr": "fast"}, "bad lr 'fast'"),
     (ModelConfig, {**DESK.to_kv(), "low_channels": "24/2/2"}, "bad low_channels"),
+    (SplitCounts, {"n_val": "-1"}, "scene counts must be non-negative, got 500 and -1"),
+    (ExperimentConfig, {"run_levels": "0,,3"}, "bad run_levels '0,,3'"),
+    (ExperimentConfig, {"run_levels": ""}, "run_levels must name at least one level count"),
 ])
 def test_malformed_or_missing_values_raise_config_error(cls, kv, message):
     with pytest.raises(ConfigError, match=message):

@@ -189,7 +189,9 @@ class TestCorpus:
     def test_manifest_directory_entry_or_bad_bytes_is_data_error(self, tmp_path, tail, match):
         corpus = write_corpus(spec(), 1, 0, tmp_path / "g")
         manifest = corpus.root / "manifest.txt"
-        manifest.write_bytes(manifest.read_bytes() + tail)
+        # n_train counts the extra entry, so only the tail itself is wrong
+        manifest.write_bytes(manifest.read_bytes().replace(b"n_train = 1", b"n_train = 2")
+                             + tail)
         with pytest.raises(DataError, match=match):
             read_corpus(corpus.root)
 
