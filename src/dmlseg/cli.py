@@ -60,6 +60,12 @@ FLAG_NAMES = {"num_classes": "--classes", "window_sizes": "--windows",
 
 
 class Parser(argparse.ArgumentParser):
+    """Takes only whole flag names, and exits 1 on a usage error; each
+    subcommand's parser is one too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 

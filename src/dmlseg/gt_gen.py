@@ -15,47 +15,55 @@ IGNORE = 255
 
 
 def check_labels(mask: np.ndarray, num_classes: int) -> None:
-    """Raise DataError naming the first pixel of an (H, W) mask whose value
-    is neither a class below `num_classes` nor IGNORE."""
+    """Raise DataError naming the first pixel of an (H, W) mask, or of the
+    first mask of an (N, H, W) stack, whose value is neither a class below
+    `num_classes` nor IGNORE."""
     bad = (mask >= num_classes) & (mask != IGNORE)
     if bad.any():
-        y, x = np.argwhere(bad)[0]
-        raise DataError(f"mask value {int(mask[y, x])} at pixel ({y}, {x}) "
+        at = tuple(np.argwhere(bad)[0])
+        y, x = at[-2:]
+        raise DataError(f"mask value {int(mask[at])} at pixel ({y}, {x}) "
                         f"is outside 0..{num_classes - 1}")
 
 
 def binarize_channels(mask: np.ndarray, num_classes: int) -> np.ndarray:
-    """(H, W) class indices -> (K, H, W) {0,1} stack; ignore is 0 everywhere."""
+    """(..., H, W) class indices -> (..., K, H, W) {0,1} stack; ignore is 0
+    everywhere."""
     check_labels(mask, num_classes)
-    return (mask[None, :, :] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
+    return (mask[..., None, :, :] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
+
+
+def _kept_spans(n: int, window: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) of the border-clipped window centered on each kept cell
+    r*stride + (stride-1)//2 of an axis of n cells."""
+    half = (window - 1) // 2
+    centers = np.arange((stride - 1) // 2, n, stride)
+    return np.maximum(centers - half, 0), np.minimum(centers + half + 1, n)
 
 
 def dilate_window(binary: np.ndarray, window: int, out_stride: int) -> np.ndarray:
     """Per-channel window max, centered, clipped at borders, strided output.
 
     Output cell (r, c) looks at the window centered on mask pixel
-    (r*s + (s-1)//2, c*s + (s-1)//2).  Zero padding is equivalent to
-    clipping for binary input.
+    (r*s + (s-1)//2, c*s + (s-1)//2).  `binary` is (K, H, W) or any stack
+    of those; the max of a {0,1} window is "its sum is positive", taken
+    from prefix sums down the columns and then along the kept rows.
     """
     if window % 2 == 0 or window < 1:
         raise ConfigError(f"dilation window must be odd and positive, got {window}")
-    k, h, w = binary.shape
+    *lead, h, w = binary.shape
     if h % out_stride or w % out_stride:
         raise ConfigError(f"mask size {h}x{w} not divisible by stride {out_stride}")
-    half = (window - 1) // 2
-    off = (out_stride - 1) // 2
-    padded = np.zeros((k, h + 2 * half, w + 2 * half), dtype=binary.dtype)
-    padded[:, half:half + h, half:half + w] = binary
-    h_out, w_out = h // out_stride, w // out_stride
-    # separable max over the kept cells only: rows, then columns, each a
-    # (window, out) view whose first window starts at `off`; the ndarray
-    # constructor checks each view against its buffer's bounds
-    sk, sh, sw = padded.strides
-    rows = np.ndarray((k, h_out, window, w + 2 * half), padded.dtype, buffer=padded,
-                      offset=off * sh, strides=(sk, sh * out_stride, sh, sw)).max(axis=2)
-    rk, rh, rw = rows.strides
-    return np.ndarray((k, h_out, window, w_out), rows.dtype, buffer=rows,
-                      offset=off * rw, strides=(rk, rh, rw, rw * out_stride)).max(axis=2)
+    count = np.min_scalar_type(h * w)  # no prefix sum exceeds h*w
+    cum = np.zeros((*lead, h + 1, w), count)
+    np.cumsum(binary, axis=-2, dtype=count, out=cum[..., 1:, :])
+    start, end = _kept_spans(h, window, out_stride)
+    cols = np.take(cum, end, axis=-2) - np.take(cum, start, axis=-2)
+    cum = np.zeros((*lead, h // out_stride, w + 1), count)
+    np.cumsum(cols, axis=-1, out=cum[..., 1:])
+    start, end = _kept_spans(w, window, out_stride)
+    return (np.take(cum, end, axis=-1) > np.take(cum, start, axis=-1)).astype(
+        binary.dtype, order="C")
 
 
 def effective_window(window: int, stride: int) -> int:
@@ -68,28 +76,42 @@ def effective_window(window: int, stride: int) -> int:
 
 
 def downsample_mask(mask: np.ndarray, factor: int, num_classes: int) -> np.ndarray:
-    """Majority-vote decimation; ignore excluded, ties to the lowest class,
-    all-ignore cells stay ignore.  A label that is neither a class below
-    `num_classes` nor ignore is a DataError."""
+    """Majority-vote decimation of an (H, W) mask or an (N, H, W) stack;
+    ignore excluded, ties to the lowest class, all-ignore cells stay ignore.
+    A label that is neither a class below `num_classes` nor ignore is a
+    DataError."""
     check_labels(mask, num_classes)
-    h, w = mask.shape
+    *lead, h, w = mask.shape
     if h % factor or w % factor:
         raise ConfigError(f"mask size {h}x{w} not divisible by factor {factor}")
-    blocks = (mask.reshape(h // factor, factor, w // factor, factor)
-                  .transpose(0, 2, 1, 3)
-                  .reshape(h // factor, w // factor, factor * factor))
-    counts = np.stack([(blocks == c).sum(axis=2) for c in range(num_classes)])
-    out = counts.argmax(axis=0).astype(mask.dtype)
-    out[counts.sum(axis=0) == 0] = IGNORE
+    ho, wo = h // factor, w // factor
+    out = np.full((*lead, ho, wo), IGNORE, dtype=mask.dtype)
+    count = np.min_scalar_type(factor * factor)
+    best = np.zeros(out.shape, count)
+    for c in range(num_classes):
+        # votes per cell: the block's rows summed, then its columns, each
+        # by adding strided slices, which beats a sum over a short axis
+        hits = (mask == c).view(np.uint8).reshape(*lead, ho, factor, w)
+        rows = hits[..., 0, :].astype(count)
+        for i in range(1, factor):
+            rows += hits[..., i, :]
+        rows = rows.reshape(*lead, ho, wo, factor)
+        votes = rows[..., 0].copy()
+        for i in range(1, factor):
+            votes += rows[..., i]
+        wins = votes > best  # strict: a tie keeps the lower class
+        out[wins] = c
+        best[wins] = votes[wins]
     return out
 
 
 def multilabel_from_grid_mask(grid_mask: np.ndarray, config) -> list[np.ndarray]:
     """One (K, H_dml, W_dml) presence target per level from a mask already
-    decimated to the backbone output grid; window sizes are defined on the
-    multi-label grid and mapped to their extent on this one."""
+    decimated to the backbone output grid, or one (N, K, H_dml, W_dml) stack
+    per level from an (N, H, W) stack of them; window sizes are defined on
+    the multi-label grid and mapped to their extent on this one."""
     s = config.dml_extra_stride
-    h, w = grid_mask.shape
+    h, w = grid_mask.shape[-2:]
     if h % s or w % s:
         raise ConfigError(f"grid mask {h}x{w} not divisible by extra stride {s}")
     binary = binarize_channels(grid_mask, config.num_classes)

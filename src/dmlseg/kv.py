@@ -11,7 +11,10 @@ from .errors import ConfigError
 
 
 def parse_kv(text: str) -> dict[str, str]:
+    """key -> value of each `key = value` line; blank and `#` lines are
+    skipped, and a malformed line or a key set twice is a ConfigError."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -19,7 +22,12 @@ def parse_kv(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key} is already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value.strip()
     return out
 
 

@@ -101,21 +101,26 @@ def palette(num_classes: int) -> np.ndarray:
     return colors
 
 
-def generate_scene(spec: SceneSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (image, mask) pair for one scene index.
+def _box(y0: float, y1: float, x0: float, x1: float, h: int, w: int):
+    """The pixels from (y0, x0) to (y1, x1), padded by one and clipped to
+    an h x w image: its (rows, cols) slices, and its row and column indices
+    as a column and a row that broadcast to the box."""
+    rows = slice(max(math.floor(y0) - 1, 0), min(math.ceil(y1) + 2, h))
+    cols = slice(max(math.floor(x0) - 1, 0), min(math.ceil(x1) + 2, w))
+    return ((rows, cols), np.arange(rows.start, rows.stop)[:, None],
+            np.arange(cols.start, cols.stop))
 
-    image is (3, H, W) float32 on the 1/255 grid so disk round trips are
-    exact; mask is (H, W) uint8 class indices.
-    """
+
+def _render(spec: SceneSpec, index: int, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scene `index` as a (3, H, W) uint8 image and an (H, W) uint8 mask;
+    `colors` is class_colors(spec)."""
     h, w = spec.size
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
     pool = spec.pools[index % len(spec.pools)]
-    colors = class_colors(spec)
 
-    image = np.empty((h, w, 3))
-    image[:] = colors[0]
+    image = np.empty((3, h, w))
+    image[:] = colors[0][:, None, None]
     mask = np.zeros((h, w), dtype=np.uint8)
-    ys, xs = np.mgrid[0:h, 0:w]
 
     n_shapes = int(rng.integers(spec.shapes_min, spec.shapes_max + 1))
     for _ in range(n_shapes):
@@ -123,47 +128,69 @@ def generate_scene(spec: SceneSpec, index: int) -> tuple[np.ndarray, np.ndarray]
         kind = int(rng.integers(0, 3))
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
         radius = rng.uniform(0.12, 0.30) * min(h, w)
+        # a region is tested only inside its shape's box, which holds
+        # every pixel the test can pass
         if kind == 0:  # rectangle
             ry = radius * rng.uniform(0.6, 1.4)
             rx = radius * rng.uniform(0.6, 1.4)
+            box, ys, xs = _box(cy - ry, cy + ry, cx - rx, cx + rx, h, w)
             region = (np.abs(ys - cy) <= ry) & (np.abs(xs - cx) <= rx)
         elif kind == 1:  # disk
+            box, ys, xs = _box(cy - radius, cy + radius, cx - radius, cx + radius, h, w)
             region = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
         else:  # triangle from three vertices on a circle
             theta = rng.uniform(0, 2 * np.pi)
             vs = [(cy + 1.4 * radius * np.sin(theta + k * 2 * np.pi / 3),
                    cx + 1.4 * radius * np.cos(theta + k * 2 * np.pi / 3))
                   for k in range(3)]
-            region = np.ones((h, w), dtype=bool)
+            vy, vx = zip(*vs)
+            box, ys, xs = _box(min(vy), max(vy), min(vx), max(vx), h, w)
+            region = True
             for (ay, ax), (by, bx) in zip(vs, vs[1:] + vs[:1]):
                 cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
-                region &= cross >= 0
+                region = region & (cross >= 0)
         color = np.clip(colors[cls] + rng.normal(0, spec.jitter, 3), 0, 1)
-        image[region] = color
-        mask[region] = cls
+        np.copyto(image[:, box[0], box[1]], color[:, None, None], where=region)
+        np.copyto(mask[box], cls, where=region)
 
-    image += rng.normal(0, spec.noise, (h, w, 3))
-    image = np.rint(np.clip(image, 0, 1) * 255).astype(np.uint8)
-    return (image.astype(np.float32) / 255.0).transpose(2, 0, 1), mask
+    image += rng.normal(0, spec.noise, (h, w, 3)).transpose(2, 0, 1)
+    np.clip(image, 0, 1, out=image)
+    image *= 255
+    return np.rint(image, out=image).astype(np.uint8), mask
+
+
+def generate_scene(spec: SceneSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (image, mask) pair for one scene index.
+
+    image is (3, H, W) float32 on the 1/255 grid so disk round trips are
+    exact; mask is (H, W) uint8 class indices.
+    """
+    image, mask = _render(spec, index, class_colors(spec))
+    return image.astype(np.float32) / 255.0, mask
 
 
 # --- netpbm (binary PPM/PGM) -------------------------------------------------
 
+def _pnm_bytes(magic: str, raster: np.ndarray) -> bytes:
+    """A binary netpbm file of an (H, W) or (H, W, 3) raster of bytes."""
+    h, w = raster.shape[:2]
+    return (f"{magic}\n{w} {h}\n255\n".encode()
+            + np.ascontiguousarray(raster, dtype=np.uint8).tobytes())
+
+
 def write_ppm(path: Path, image: np.ndarray) -> None:
     """image is (3, H, W) float in [0, 1] on the 1/255 grid."""
-    u8 = np.rint(image * 255).astype(np.uint8).transpose(1, 2, 0)
-    h, w, _ = u8.shape
-    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + u8.tobytes())
+    write_atomic(path, _pnm_bytes("P6", np.rint(image * 255).astype(np.uint8).transpose(1, 2, 0)))
 
 
 def write_pgm(path: Path, mask: np.ndarray) -> None:
-    h, w = mask.shape
-    write_atomic(path, f"P5\n{w} {h}\n255\n".encode()
-                 + np.ascontiguousarray(mask, dtype=np.uint8).tobytes())
+    write_atomic(path, _pnm_bytes("P5", mask))
 
 
-def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
-    data = Path(path).read_bytes()
+def _read_pnm(path: Path, magic: bytes, data: bytes | None = None) -> np.ndarray:
+    """Parse the netpbm file at `path`, or `data`, its bytes, when given;
+    `path` then only names the file in errors."""
+    data = Path(path).read_bytes() if data is None else data
     if not data.startswith(magic):
         raise DataError(f"{path}: expected {magic.decode()} netpbm file")
     fields: list[int] = []
@@ -225,11 +252,12 @@ class Corpus:
         return read_pgm(self.root / self.entries[i][2])
 
 
-def _corpus_hash(root: Path, entries) -> str:
+def _corpus_hash(files) -> str:
+    """sha256 over the sha256 of each file's bytes, taken in manifest order:
+    every entry's image, then its mask."""
     outer = hashlib.sha256()
-    for _, img, msk in entries:
-        for rel in (img, msk):
-            outer.update(hashlib.sha256((root / rel).read_bytes()).digest())
+    for data in files:
+        outer.update(hashlib.sha256(data).digest())
     return outer.hexdigest()
 
 
@@ -246,17 +274,23 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
     entries = []
     appearance = np.zeros(spec.num_classes, dtype=np.int64)
     pool_images = np.zeros(len(spec.pools), dtype=np.int64)
-    for i in range(n_train + n_val):
-        image, mask = generate_scene(spec, i)
-        img_rel = f"images/img_{i:05d}.ppm"
-        msk_rel = f"masks/msk_{i:05d}.pgm"
-        write_ppm(root / img_rel, image)
-        write_pgm(root / msk_rel, mask)
-        entries.append(("train" if i < n_train else "val", img_rel, msk_rel))
-        pool_images[i % len(spec.pools)] += 1
-        for cls in np.unique(mask):
-            appearance[cls] += 1
+    colors = class_colors(spec)
 
+    def written():
+        """Render and write every scene, yielding each file's bytes."""
+        for i in range(n_train + n_val):
+            image, mask = _render(spec, i, colors)
+            img_rel = f"images/img_{i:05d}.ppm"
+            msk_rel = f"masks/msk_{i:05d}.pgm"
+            for rel, data in ((img_rel, _pnm_bytes("P6", image.transpose(1, 2, 0))),
+                              (msk_rel, _pnm_bytes("P5", mask))):
+                write_atomic(root / rel, data)
+                yield data
+            entries.append(("train" if i < n_train else "val", img_rel, msk_rel))
+            pool_images[i % len(spec.pools)] += 1
+            appearance[:] += np.bincount(mask.ravel(), minlength=spec.num_classes) > 0
+
+    content_hash = _corpus_hash(written())
     total = n_train + n_val
     if total >= 500:
         for g, pool in enumerate(spec.pools):
@@ -267,7 +301,6 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
                         f"{pool_images[g]} pool-{g} images (< 5%); "
                         f"regenerate with a different seed")
 
-    content_hash = _corpus_hash(root, entries)
     text = (f"format = {MANIFEST_FORMAT}\n{spec.to_text()}{counts.to_text()}"
             f"hash = {content_hash}\n"
             + "".join(f"{split}\t{img}\t{msk}\n" for split, img, msk in entries))
@@ -285,18 +318,16 @@ def read_corpus(dir_path: Path) -> Corpus:
         text = manifest.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{manifest}: {exc}") from exc
-    kv_lines = []
+    kv_lines = []  # an entry leaves its line blank, so line numbers hold
     entries = []
     for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        if "\t" in raw:
+        if raw.strip() and "\t" in raw:
             parts = raw.split("\t")
             if len(parts) != 3:
                 raise DataError(f"bad manifest file entry {raw!r}")
             entries.append((parts[0], parts[1], parts[2]))
-        else:
-            kv_lines.append(raw)
+            raw = ""
+        kv_lines.append(raw)
     try:
         kv = parse_kv("\n".join(kv_lines))
         if kv.get("format") != MANIFEST_FORMAT:
@@ -317,14 +348,34 @@ def read_corpus(dir_path: Path) -> Corpus:
         for rel in (img, msk):
             if not (root / rel).is_file():
                 raise DataError(f"manifest lists missing file {rel}")
-    got = _corpus_hash(root, entries)
+    fault = None  # the first bad mask, reported only once the hash holds
+
+    def read():
+        """Every file's bytes, each read once; masks are checked on the way."""
+        nonlocal fault
+        for _, img, msk in entries:
+            yield (root / img).read_bytes()
+            data = (root / msk).read_bytes()
+            fault = fault or _mask_fault(root, msk, data, spec.num_classes)
+            yield data
+
+    got = _corpus_hash(read())
     if got != kv.get("hash"):
         raise DataError(f"corpus hash mismatch: manifest {kv.get('hash')}, files {got}")
-    corpus = Corpus(root=root, spec=spec, entries=entries, content_hash=got)
-    for i in range(len(entries)):
-        mask = corpus.load_mask(i)
-        try:
-            check_labels(mask, spec.num_classes)
-        except DataError as exc:
-            raise DataError(f"{entries[i][2]}: {exc}") from exc
-    return corpus
+    if fault:
+        raise fault
+    return Corpus(root=root, spec=spec, entries=entries, content_hash=got)
+
+
+def _mask_fault(root: Path, rel: str, data: bytes, num_classes: int) -> DataError | None:
+    """The DataError that reading mask file `rel`, whose bytes are `data`,
+    raises: a malformed file, or a label outside the spec's classes."""
+    try:
+        mask = _read_pnm(root / rel, b"P5", data)
+    except DataError as exc:
+        return exc
+    try:
+        check_labels(mask, num_classes)
+    except DataError as exc:
+        return DataError(f"{rel}: {exc}")
+    return None

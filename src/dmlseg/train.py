@@ -69,14 +69,17 @@ class TrainResult:
 
 
 def prepare_targets(masks, config: ModelConfig):
-    """Decimated segmentation masks plus per-level presence targets; a mask
-    whose shape is not the config's input size is a ConfigError."""
+    """Decimated segmentation masks plus per-level presence targets, both
+    made for the whole stack of masks at once; a mask whose shape is not the
+    config's input size is a ConfigError."""
     for m in masks:
         if m.shape != config.input_size:
             raise ConfigError(f"mask shape {m.shape} is not input_size {config.input_size}")
-    grids = [downsample_mask(m, config.s_low, config.num_classes) for m in masks]
-    targets = [multilabel_from_grid_mask(g, config) for g in grids]
-    return grids, targets
+    if len(masks) == 0:
+        return [], []
+    grids = downsample_mask(np.stack(masks), config.s_low, config.num_classes)
+    levels = multilabel_from_grid_mask(grids, config)
+    return list(grids), [list(t) for t in zip(*levels)]
 
 
 @contextmanager

@@ -111,6 +111,23 @@ def dilate_loops(binary, window, out_stride):
     return out
 
 
+def downsample_loops(mask, factor, num_classes):
+    """Majority vote per factor x factor block: ignore excluded, ties to the
+    lowest class, a block of only ignore stays IGNORE."""
+    h, w = mask.shape
+    out = np.empty((h // factor, w // factor), dtype=mask.dtype)
+    for r in range(h // factor):
+        for c in range(w // factor):
+            votes = [0] * num_classes
+            for y in range(r * factor, (r + 1) * factor):
+                for x in range(c * factor, (c + 1) * factor):
+                    if mask[y, x] != IGNORE:
+                        votes[int(mask[y, x])] += 1
+            best = max(votes)
+            out[r, c] = IGNORE if best == 0 else votes.index(best)
+    return out
+
+
 def multilabel_nll_ref(m, y):
     """Scalar-math mean negative log likelihood of per-class presence."""
     n, k, h, w = m.shape

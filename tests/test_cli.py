@@ -117,6 +117,42 @@ def test_eval_corrupt_manifest_exits_2(run_dir, corpus_dir, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"data error: {manifest}: ")
 
 
+def test_manifest_repeating_a_key_exits_2(run_dir, corpus_dir, tmp_path, capsys):
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, bad)
+    manifest = bad / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("noise = 0.03\n", "noise = 0.03\nnoise = 0.5\n"),
+                        encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.dmls"),
+                 "--corpus", str(bad)]) == 2
+    lineno = text.splitlines().index("noise = 0.03") + 1
+    assert capsys.readouterr().err == (f"data error: {manifest}: line {lineno + 1}: key noise "
+                                       f"is already set on line {lineno}\n")
+
+
+def test_checkpoint_header_repeating_a_key_exits_2(run_dir, corpus_dir, tmp_path, capsys):
+    header, arrays = load_container(run_dir / "checkpoint.dmls")
+    bad = tmp_path / "bad.dmls"
+    save_container(bad, header + "levels = 2\n", arrays)
+    assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: ")
+    assert "key levels is already set on line" in err
+
+
+def test_gt_cache_header_repeating_a_key_exits_2(corpus_dir, tmp_path, capsys):
+    cache = tmp_path / "gt.dmls"
+    assert main(["gen-gt", "--corpus", str(corpus_dir), "--out", str(cache),
+                 *MODEL_FLAGS]) == 0
+    header, arrays = load_container(cache)
+    save_container(cache, header + "num_classes = 4\n", arrays)
+    assert main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run"),
+                 *MODEL_FLAGS, "--iterations", "1", "--batch-size", "4",
+                 "--gt-cache", str(cache)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {cache}: ")
+
+
 def test_predict_writes_label_and_color_maps(run_dir, corpus_dir, tmp_path):
     image = corpus_dir / "images" / "img_00009.ppm"
     code = main(["predict", "--checkpoint", str(run_dir / "checkpoint.dmls"),
@@ -331,6 +367,22 @@ def test_experiment_config_file_replays_check64_checkpoints(corpus_dir, tmp_path
 def test_config_directory_exits_1(tmp_path, capsys):
     assert main(["describe", "--config", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_file_repeating_a_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "f.cfg"
+    config.write_text("num_classes = 4\nnum_classes = 8\n", encoding="utf-8")
+    assert main(["describe", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (f"error: config file {config}: line 2: key "
+                                       f"num_classes is already set on line 1\n")
+
+
+def test_abbreviated_flag_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", "--class", "4", "--win", "5,3,1", "--input", "32x32"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --class 4 --win 5,3,1 --input 32x32" in \
+        capsys.readouterr().err
 
 
 def test_usage_error_exits_1(capsys):

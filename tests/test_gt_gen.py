@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmlseg.errors import ConfigError, DataError
 from dmlseg.gt_gen import (IGNORE, binarize_channels, dilate_window, downsample_mask,
-                           effective_window)
+                           effective_window, multilabel_from_grid_mask)
 from dmlseg.model import ModelConfig
 from dmlseg.train import prepare_targets
 
-from reference import dilate_loops
+from reference import dilate_loops, downsample_loops
 
 
 def desk_config(**kw):
@@ -97,6 +100,11 @@ class TestDilate:
         for w in (1, 3, 7):
             assert np.all(dilate_window(binary, w, 2) == 1)
 
+    def test_window_covering_more_than_255_cells(self):
+        binary = np.ones((1, 32, 32), dtype=np.uint8)
+        for w, s in ((63, 1), (31, 2), (17, 4)):
+            assert np.all(dilate_window(binary, w, s) == 1), f"window={w} stride={s}"
+
 
 class TestDownsample:
     def test_majority_wins(self):
@@ -116,6 +124,11 @@ class TestDownsample:
     def test_factor_one_identity(self):
         mask = np.arange(9, dtype=np.uint8).reshape(3, 3) % 4
         assert np.array_equal(downsample_mask(mask, 1, 4), mask)
+
+    def test_block_of_more_than_255_votes(self):
+        mask = np.full((32, 16), 3, dtype=np.uint8)
+        mask[16:, :] = 1
+        assert downsample_mask(mask, 16, 4).tolist() == [[3], [1]]
 
     @pytest.mark.parametrize("factor", [1, 2])
     def test_label_beyond_classes_rejected(self, factor):
@@ -189,3 +202,91 @@ class TestMultilabelGt:
     def test_mask_of_another_size_rejected(self):
         with pytest.raises(ConfigError, match=r"mask shape \(16, 16\) is not input_size"):
             targets_of(np.zeros((16, 16), dtype=np.uint8), desk_config())
+
+
+def random_masks(seed, n, num_classes, size, factor):
+    """n masks of random labels; IGNORE sprinkled over pixels, and over a
+    whole run of factor x factor blocks in every other mask."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for i in range(n):
+        mask = rng.integers(0, num_classes, size=size).astype(np.uint8)
+        mask[rng.random(size) < rng.choice([0.0, 0.2, 0.6])] = IGNORE
+        if i % 2:
+            r0, r1 = sorted(rng.integers(0, size[0] // factor + 1, 2))
+            c0, c1 = sorted(rng.integers(0, size[1] // factor + 1, 2))
+            mask[r0 * factor:r1 * factor, c0 * factor:c1 * factor] = IGNORE
+        masks.append(mask)
+    return masks
+
+
+def oracle_targets(grid, num_classes, windows, stride):
+    """Per-level presence targets of one decimated mask, by the loop oracle."""
+    binary = (grid[None] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
+    return [dilate_loops(binary, effective_window(w, stride), stride) for w in windows]
+
+
+def assert_same_array(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, expect)
+
+
+class TestWholeStack:
+    """A stack of masks gives, mask by mask, what the loop oracles give."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), num_classes=st.integers(2, 5),
+           factor=st.sampled_from([1, 2, 4]), stride=st.sampled_from([1, 2, 3]),
+           cells=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           windows=st.lists(st.integers(0, 5).map(lambda k: 2 * k + 1), min_size=1, max_size=3))
+    def test_stack_functions(self, seed, n, num_classes, factor, stride, cells, windows):
+        # windows of up to 11 DML cells, wider than a grid of 1 to 4
+        grid_size = (cells[0] * stride, cells[1] * stride)
+        size = (grid_size[0] * factor, grid_size[1] * factor)
+        masks = random_masks(seed, n, num_classes, size, factor)
+        grids = downsample_mask(np.stack(masks), factor, num_classes)
+        cfg = SimpleNamespace(num_classes=num_classes, dml_extra_stride=stride,
+                              window_sizes=tuple(windows))
+        levels = multilabel_from_grid_mask(grids, cfg)
+        for i, mask in enumerate(masks):
+            grid = downsample_loops(mask, factor, num_classes)
+            assert_same_array(grids[i], grid)
+            for got, expect in zip(levels, oracle_targets(grid, num_classes, windows, stride)):
+                assert_same_array(got[i], expect)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), num_classes=st.integers(2, 5),
+           factor=st.sampled_from([1, 2, 4]), stride=st.sampled_from([1, 2, 4]),
+           cells=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+           bad=st.one_of(st.none(), st.integers(0, 5)))
+    def test_prepare_targets(self, seed, n, num_classes, factor, stride, cells, picks, bad):
+        # the widest window a ModelConfig takes spans its DML grid from any cell
+        windows = sorted((2 * k + 1 for k in picks if 2 * k + 1 <= 2 * max(cells) + 1),
+                         reverse=True) or [1]
+        cfg = ModelConfig(num_classes=num_classes,
+                          input_size=(cells[0] * stride * factor, cells[1] * stride * factor),
+                          low_channels=((4, factor),), seg_channels=(4, 4),
+                          dml_extra_stride=stride, window_sizes=windows, levels=len(windows))
+        masks = random_masks(seed, n, num_classes, cfg.input_size, factor)
+        if bad is not None:
+            k = bad % n
+            masks[k][-1, bad % cfg.input_size[1]] = num_classes + bad
+            with pytest.raises(DataError) as alone:
+                downsample_mask(masks[k], factor, num_classes)
+            with pytest.raises(DataError) as stacked:
+                prepare_targets(masks, cfg)
+            assert str(stacked.value) == str(alone.value)
+            return
+        grids, targets = prepare_targets(masks, cfg)
+        assert len(grids) == len(targets) == n
+        for mask, grid, levels in zip(masks, grids, targets):
+            expect = downsample_loops(mask, factor, num_classes)
+            assert_same_array(grid, expect)
+            assert len(levels) == len(windows)
+            for got, want in zip(levels, oracle_targets(expect, num_classes, windows, stride)):
+                assert_same_array(got, want)
+
+    def test_no_masks(self):
+        assert prepare_targets([], desk_config()) == ([], [])

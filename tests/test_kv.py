@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from dmlseg.errors import ConfigError
+from dmlseg.kv import parse_kv
 from dmlseg.model import ModelConfig
 from dmlseg.synth_data import SceneSpec, SplitCounts
 from dmlseg.train import ExperimentConfig, TrainConfig
@@ -75,3 +76,8 @@ def test_absent_fields_take_their_defaults():
 def test_malformed_or_missing_values_raise_config_error(cls, kv, message):
     with pytest.raises(ConfigError, match=message):
         cls.from_kv(kv)
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="^line 4: key seed is already set on line 2$"):
+        parse_kv("# a scene\nseed = 4\n\nseed = 5\n")

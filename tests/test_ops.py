@@ -7,6 +7,7 @@ from dmlseg import ops, tensor
 from dmlseg.errors import ConfigError
 from dmlseg.tensor import Tensor, record
 
+from helpers import reduce_sum
 from reference import (conv2d_loops, fd_grad, grad_mismatch, maxpool2d_grad_loops,
                        maxpool2d_loops, sum_loops)
 
@@ -150,7 +151,7 @@ class TestReLU:
     def test_subgradient_at_zero(self):
         x = t(np.array([-1.0, 2.0]).reshape(1, 1, 1, 2), requires_grad=True)
         with record() as g:
-            loss = ops.reduce_sum(ops.relu(x))
+            loss = reduce_sum(ops.relu(x))
         g.backward(loss)
         assert np.array_equal(x.grad.reshape(-1), [0.0, 1.0])
 
@@ -193,14 +194,14 @@ class TestMaxPool:
         x = t(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
         with record() as g:
             out = ops.maxpool2d(x, kernel=3, stride=2, padding=1)
-            loss = ops.reduce_sum(out)
+            loss = reduce_sum(out)
         g.backward(loss)
         assert x.grad.sum() == pytest.approx(out.data.size, abs=1e-9)
 
     def test_tie_goes_to_lowest_linear_index(self):
         x = t(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
         with record() as g:
-            loss = ops.reduce_sum(ops.maxpool2d(x, kernel=2, stride=2))
+            loss = reduce_sum(ops.maxpool2d(x, kernel=2, stride=2))
         g.backward(loss)
         assert x.grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 0.0]
 
@@ -248,7 +249,7 @@ class TestUpsample:
     def test_backward_sums_blocks(self):
         x = t(np.zeros((1, 1, 2, 2)), requires_grad=True)
         with record() as g:
-            loss = ops.reduce_sum(ops.upsample_nearest(x, 2))
+            loss = reduce_sum(ops.upsample_nearest(x, 2))
         g.backward(loss)
         assert np.all(x.grad == 4.0)
 
@@ -261,14 +262,14 @@ class TestShiftScale:
     def test_shift_gradient_passthrough(self):
         x = t(np.ones((1, 1, 2, 2)), requires_grad=True)
         with record() as g:
-            loss = ops.reduce_sum(ops.shift(x, 3.0))
+            loss = reduce_sum(ops.shift(x, 3.0))
         g.backward(loss)
         assert np.all(x.grad == 1.0)
 
     def test_scale_gradient(self):
         x = t(np.ones((1, 1, 2, 2)), requires_grad=True)
         with record() as g:
-            loss = ops.reduce_sum(ops.scale(x, -2.5))
+            loss = reduce_sum(ops.scale(x, -2.5))
         g.backward(loss)
         assert np.all(x.grad == -2.5)
 
@@ -435,7 +436,7 @@ def test_serial_determinism(check64):
         b = Tensor(b_data.copy(), requires_grad=True)
         with record() as g:
             out = ops.relu(ops.conv2d(x, w, b, stride=2, dilation=1, padding=1))
-            loss = ops.reduce_sum(out)
+            loss = reduce_sum(out)
         g.backward(loss)
         return out.data.copy(), x.grad.copy(), w.grad.copy()
 

@@ -1,12 +1,16 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmlseg.checkpoint import save_gt_cache
 from dmlseg.errors import ConfigError, DataError
+from dmlseg.model import ModelConfig
 from dmlseg.synth_data import (SceneSpec, _corpus_hash, class_colors, default_pools,
                                generate_scene, read_corpus, read_pgm, read_ppm, write_corpus,
                                write_pgm, write_ppm)
+from dmlseg.train import prepare_targets
 
 
 def spec(**kw):
@@ -176,7 +180,8 @@ class TestCorpus:
         write_pgm(corpus.root / corpus.entries[1][2], mask)
         manifest = corpus.root / "manifest.txt"
         manifest.write_text(manifest.read_text().replace(
-            corpus.content_hash, _corpus_hash(corpus.root, corpus.entries)))
+            corpus.content_hash, _corpus_hash((corpus.root / rel).read_bytes()
+                                              for _, *rels in corpus.entries for rel in rels)))
         with pytest.raises(DataError, match=r"msk_00001.pgm: mask value 9 at pixel \(3, 5\)"):
             read_corpus(corpus.root)
 
@@ -232,3 +237,32 @@ class TestCorpus:
         for g, pool in enumerate(s.pools):
             for cls in pool:
                 assert counts[cls] >= 0.05 * pool_sizes[g]
+
+
+class TestGoldenBytes:
+    """Corpus and target bytes pinned to their values from before scene and
+    target generation became whole-corpus passes: any change to a scene, a
+    file or a target byte fails here."""
+
+    @pytest.mark.parametrize("scene, content_hash", [
+        (SceneSpec(seed=0, size=(96, 96), num_classes=8),
+         "a302d8765892652c0cceb93f095083e6513dde3fb587df5ff3dc624a5beccabd"),
+        (SceneSpec(seed=1, size=(32, 32), num_classes=4),
+         "eb565d6b0b1f15b386e70f63651ffa7c6a06e8beb4c708c09e1086a6c783da97"),
+        (SceneSpec(seed=2, size=(16, 24), num_classes=3, pools=((1, 2),), shapes_max=8),
+         "fb07a3941e31db52cd886743b080b4a3357751ba6b72b87d5d524cf0bf7daf12"),
+    ], ids=["desk", "check", "one-pool"])
+    def test_corpus_content_hash(self, scene, content_hash, tmp_path):
+        assert write_corpus(scene, 6, 2, tmp_path).content_hash == content_hash
+        assert read_corpus(tmp_path).content_hash == content_hash
+
+    def test_desk_gt_cache_bytes(self, tmp_path):
+        corpus = write_corpus(SceneSpec(seed=0, size=(96, 96), num_classes=8), 6, 2,
+                              tmp_path / "corpus")
+        cfg = ModelConfig(num_classes=8, input_size=(96, 96), low_channels=((24, 2), (48, 2)),
+                          seg_channels=(64, 64))
+        masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
+        save_gt_cache(tmp_path / "gt.dmls", cfg, corpus.content_hash,
+                      *prepare_targets(masks, cfg))
+        assert hashlib.sha256((tmp_path / "gt.dmls").read_bytes()).hexdigest() == \
+            "fb371fec536c1405d285f689e95eadb160246cf9c0b82a9590ed7bf668bb9917"
