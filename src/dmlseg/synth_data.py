@@ -187,12 +187,14 @@ def write_pgm(path: Path, mask: np.ndarray) -> None:
     write_atomic(path, _pnm_bytes("P5", mask))
 
 
-def _read_pnm(path: Path, magic: bytes, data: bytes | None = None) -> np.ndarray:
-    """Parse the netpbm file at `path`, or `data`, its bytes, when given;
-    `path` then only names the file in errors."""
-    data = Path(path).read_bytes() if data is None else data
+def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
+    return _parse_pnm(path, magic, Path(path).read_bytes())
+
+
+def _parse_pnm(name: Path, magic: bytes, data: bytes) -> np.ndarray:
+    """Parse the bytes of netpbm file `name`, which names it in errors."""
     if not data.startswith(magic):
-        raise DataError(f"{path}: expected {magic.decode()} netpbm file")
+        raise DataError(f"{name}: expected {magic.decode()} netpbm file")
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
@@ -208,17 +210,17 @@ def _read_pnm(path: Path, magic: bytes, data: bytes | None = None) -> np.ndarray
         try:
             fields.append(int(data[start:pos]))
         except ValueError as exc:
-            raise DataError(f"{path}: malformed netpbm header") from exc
+            raise DataError(f"{name}: malformed netpbm header") from exc
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if w < 1 or h < 1:
-        raise DataError(f"{path}: netpbm size {w}x{h} is not positive")
+        raise DataError(f"{name}: netpbm size {w}x{h} is not positive")
     if maxval != 255:
-        raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise DataError(f"{name}: only maxval 255 supported, got {maxval}")
     channels = 3 if magic == b"P6" else 1
     raster = data[pos:pos + w * h * channels]
     if len(raster) != w * h * channels:
-        raise DataError(f"{path}: truncated raster")
+        raise DataError(f"{name}: truncated raster")
     arr = np.frombuffer(raster, dtype=np.uint8)
     return arr.reshape(h, w, 3) if channels == 3 else arr.reshape(h, w)
 
@@ -252,13 +254,10 @@ class Corpus:
         return read_pgm(self.root / self.entries[i][2])
 
 
-def _corpus_hash(files) -> str:
-    """sha256 over the sha256 of each file's bytes, taken in manifest order:
-    every entry's image, then its mask."""
-    outer = hashlib.sha256()
-    for data in files:
-        outer.update(hashlib.sha256(data).digest())
-    return outer.hexdigest()
+def _corpus_hash(digests: list[bytes]) -> str:
+    """sha256 over the sha256 digest of each file's bytes, taken in manifest
+    order: every entry's image, then its mask."""
+    return hashlib.sha256(b"".join(digests)).hexdigest()
 
 
 def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Corpus:
@@ -275,22 +274,20 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
     appearance = np.zeros(spec.num_classes, dtype=np.int64)
     pool_images = np.zeros(len(spec.pools), dtype=np.int64)
     colors = class_colors(spec)
+    digests = []
+    for i in range(n_train + n_val):
+        image, mask = _render(spec, i, colors)
+        img_rel = f"images/img_{i:05d}.ppm"
+        msk_rel = f"masks/msk_{i:05d}.pgm"
+        for rel, data in ((img_rel, _pnm_bytes("P6", image.transpose(1, 2, 0))),
+                          (msk_rel, _pnm_bytes("P5", mask))):
+            write_atomic(root / rel, data)
+            digests.append(hashlib.sha256(data).digest())
+        entries.append(("train" if i < n_train else "val", img_rel, msk_rel))
+        pool_images[i % len(spec.pools)] += 1
+        appearance += np.bincount(mask.ravel(), minlength=spec.num_classes) > 0
 
-    def written():
-        """Render and write every scene, yielding each file's bytes."""
-        for i in range(n_train + n_val):
-            image, mask = _render(spec, i, colors)
-            img_rel = f"images/img_{i:05d}.ppm"
-            msk_rel = f"masks/msk_{i:05d}.pgm"
-            for rel, data in ((img_rel, _pnm_bytes("P6", image.transpose(1, 2, 0))),
-                              (msk_rel, _pnm_bytes("P5", mask))):
-                write_atomic(root / rel, data)
-                yield data
-            entries.append(("train" if i < n_train else "val", img_rel, msk_rel))
-            pool_images[i % len(spec.pools)] += 1
-            appearance[:] += np.bincount(mask.ravel(), minlength=spec.num_classes) > 0
-
-    content_hash = _corpus_hash(written())
+    content_hash = _corpus_hash(digests)
     total = n_train + n_val
     if total >= 500:
         for g, pool in enumerate(spec.pools):
@@ -348,18 +345,14 @@ def read_corpus(dir_path: Path) -> Corpus:
         for rel in (img, msk):
             if not (root / rel).is_file():
                 raise DataError(f"manifest lists missing file {rel}")
+    digests = []
     fault = None  # the first bad mask, reported only once the hash holds
-
-    def read():
-        """Every file's bytes, each read once; masks are checked on the way."""
-        nonlocal fault
-        for _, img, msk in entries:
-            yield (root / img).read_bytes()
-            data = (root / msk).read_bytes()
-            fault = fault or _mask_fault(root, msk, data, spec.num_classes)
-            yield data
-
-    got = _corpus_hash(read())
+    for _, img, msk in entries:
+        digests.append(hashlib.sha256((root / img).read_bytes()).digest())
+        data = (root / msk).read_bytes()
+        digests.append(hashlib.sha256(data).digest())
+        fault = fault or _mask_fault(root, msk, data, spec.num_classes)
+    got = _corpus_hash(digests)
     if got != kv.get("hash"):
         raise DataError(f"corpus hash mismatch: manifest {kv.get('hash')}, files {got}")
     if fault:
@@ -371,7 +364,7 @@ def _mask_fault(root: Path, rel: str, data: bytes, num_classes: int) -> DataErro
     """The DataError that reading mask file `rel`, whose bytes are `data`,
     raises: a malformed file, or a label outside the spec's classes."""
     try:
-        mask = _read_pnm(root / rel, b"P5", data)
+        mask = _parse_pnm(root / rel, b"P5", data)
     except DataError as exc:
         return exc
     try:

@@ -79,7 +79,7 @@ def prepare_targets(masks, config: ModelConfig):
         return [], []
     grids = downsample_mask(np.stack(masks), config.s_low, config.num_classes)
     levels = multilabel_from_grid_mask(grids, config)
-    return list(grids), [list(t) for t in zip(*levels)]
+    return list(grids), [[t[i] for t in levels] for i in range(len(grids))]
 
 
 @contextmanager

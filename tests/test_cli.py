@@ -176,6 +176,20 @@ def test_gen_gt_then_train_with_cache(corpus_dir, tmp_path):
     assert (out / "checkpoint.dmls").exists()
 
 
+def test_gen_gt_then_train_with_cache_at_zero_levels(corpus_dir, tmp_path):
+    # no DML levels: each image still gets a cache entry, its grid
+    cache = tmp_path / "gt.dmls"
+    assert main(["gen-gt", "--corpus", str(corpus_dir), "--out", str(cache),
+                 *MODEL_FLAGS, "--levels", "0"]) == 0
+    _, arrays = load_container(cache)
+    assert len(arrays) == len(read_corpus(corpus_dir).entries)
+    out = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 *MODEL_FLAGS, "--levels", "0", "--iterations", "2", "--batch-size", "4",
+                 "--gt-cache", str(cache), "--seed", "1"]) == 0
+    assert (out / "checkpoint.dmls").exists()
+
+
 def test_train_gt_cache_not_covering_corpus_exits_2(corpus_dir, tmp_path):
     cache = tmp_path / "gt.dmls"
     assert main(["gen-gt", "--corpus", str(corpus_dir), "--out", str(cache),

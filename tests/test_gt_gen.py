@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmlseg.errors import ConfigError, DataError
 from dmlseg.gt_gen import (IGNORE, binarize_channels, dilate_window, downsample_mask,
@@ -104,6 +104,14 @@ class TestDilate:
         binary = np.ones((1, 32, 32), dtype=np.uint8)
         for w, s in ((63, 1), (31, 2), (17, 4)):
             assert np.all(dilate_window(binary, w, s) == 1), f"window={w} stride={s}"
+
+    def test_side_of_more_than_255_cells(self):
+        rng = np.random.default_rng(5)
+        for shape in ((2, 2, 512), (2, 300, 4)):
+            binary = (rng.random(shape) < 0.9).astype(np.uint8)
+            for w, s in ((3, 2), (1, 1)):
+                out = dilate_window(binary, w, s)
+                assert np.array_equal(out, dilate_loops(binary, w, s)), f"{shape} {w} {s}"
 
 
 class TestDownsample:
@@ -259,12 +267,14 @@ class TestWholeStack:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), num_classes=st.integers(2, 5),
            factor=st.sampled_from([1, 2, 4]), stride=st.sampled_from([1, 2, 4]),
            cells=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-           picks=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+           picks=st.lists(st.integers(0, 3), max_size=3, unique=True),
            bad=st.one_of(st.none(), st.integers(0, 5)))
+    @example(seed=0, n=3, num_classes=3, factor=2, stride=2, cells=(2, 2), picks=[], bad=None)
     def test_prepare_targets(self, seed, n, num_classes, factor, stride, cells, picks, bad):
-        # the widest window a ModelConfig takes spans its DML grid from any cell
+        # the widest window a ModelConfig takes spans its DML grid from any
+        # cell; no window left is a config of zero levels
         windows = sorted((2 * k + 1 for k in picks if 2 * k + 1 <= 2 * max(cells) + 1),
-                         reverse=True) or [1]
+                         reverse=True)
         cfg = ModelConfig(num_classes=num_classes,
                           input_size=(cells[0] * stride * factor, cells[1] * stride * factor),
                           low_channels=((4, factor),), seg_channels=(4, 4),

@@ -180,8 +180,9 @@ class TestCorpus:
         write_pgm(corpus.root / corpus.entries[1][2], mask)
         manifest = corpus.root / "manifest.txt"
         manifest.write_text(manifest.read_text().replace(
-            corpus.content_hash, _corpus_hash((corpus.root / rel).read_bytes()
-                                              for _, *rels in corpus.entries for rel in rels)))
+            corpus.content_hash, _corpus_hash([hashlib.sha256((corpus.root / rel).read_bytes())
+                                               .digest() for _, *rels in corpus.entries
+                                               for rel in rels])))
         with pytest.raises(DataError, match=r"msk_00001.pgm: mask value 9 at pixel \(3, 5\)"):
             read_corpus(corpus.root)
 
