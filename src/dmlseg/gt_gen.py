@@ -1,8 +1,8 @@
 """Ground truth for dense multi-label supervision.
 
-A segmentation mask is turned into per-class binary channels, then each
-channel is dilated with a centered window (sliding max, borders clipped)
-and sampled on the coarser grid the multi-label heads predict on.
+A segmentation mask is decimated to the backbone grid; then, per class,
+the presence of that class in a centered window (borders clipped) is
+sampled on the coarser grid the multi-label heads predict on.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ def check_labels(mask: np.ndarray, num_classes: int) -> None:
                         f"is outside 0..{num_classes - 1}")
 
 
-def binarize_channels(mask: np.ndarray, num_classes: int) -> np.ndarray:
-    """(..., H, W) class indices -> (..., K, H, W) {0,1} stack; ignore is 0
-    everywhere."""
-    check_labels(mask, num_classes)
-    return (mask[..., None, :, :] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
-
-
 def _kept_spans(n: int, window: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, end) of the border-clipped window centered on each kept cell
     r*stride + (stride-1)//2 of an axis of n cells."""
@@ -41,32 +34,35 @@ def _kept_spans(n: int, window: int, stride: int) -> tuple[np.ndarray, np.ndarra
     return np.maximum(centers - half, 0), np.minimum(centers + half + 1, n)
 
 
-def dilate_window(binary: np.ndarray, window: int, out_stride: int) -> np.ndarray:
-    """Per-channel window max, centered, clipped at borders, strided output.
+def dilate_window(labels: np.ndarray, window: int, out_stride: int,
+                  num_classes: int) -> np.ndarray:
+    """Per-class presence in a centered window, clipped at borders, strided.
 
-    Output cell (r, c) looks at the window centered on mask pixel
-    (r*s + (s-1)//2, c*s + (s-1)//2).  `binary` is (K, H, W) or any stack
-    of those; the max of a {0,1} window is "its sum is positive", taken
-    from prefix sums down the columns and then along the kept rows.  One
-    channel is done at a time, so the temporaries do not grow with K.
+    `labels` is an (H, W) label grid or any stack of them; the output is
+    (..., K, H/s, W/s) uint8.  Cell (r, c) of channel k is 1 when label k
+    lies in the window centered on pixel (r*s + (s-1)//2, c*s + (s-1)//2);
+    a label outside 0..K-1, IGNORE included, belongs to no class.  The
+    window holds k when its count of k is positive, taken from prefix sums
+    down the columns and then along the kept rows.  One class is done at a
+    time, so the temporaries do not grow with K.
     """
     if window % 2 == 0 or window < 1:
         raise ConfigError(f"dilation window must be odd and positive, got {window}")
-    *lead, k, h, w = binary.shape
+    *lead, h, w = labels.shape
     if h % out_stride or w % out_stride:
         raise ConfigError(f"mask size {h}x{w} not divisible by stride {out_stride}")
     count = np.min_scalar_type(max(h, w))  # no prefix sum exceeds a side
     row_start, row_end = _kept_spans(h, window, out_stride)
     col_start, col_end = _kept_spans(w, window, out_stride)
-    out = np.empty((*lead, k, h // out_stride, w // out_stride), binary.dtype)
+    out = np.empty((*lead, num_classes, h // out_stride, w // out_stride), np.uint8)
     down = np.zeros((*lead, h + 1, w), count)
     across = np.zeros((*lead, h // out_stride, w + 1), count)
-    for c in range(k):
-        np.cumsum(binary[..., c, :, :], axis=-2, dtype=count, out=down[..., 1:, :])
+    for k in range(num_classes):
+        np.cumsum(labels == k, axis=-2, dtype=count, out=down[..., 1:, :])
         hit = np.take(down, row_end, axis=-2) > np.take(down, row_start, axis=-2)
         np.cumsum(hit, axis=-1, dtype=count, out=across[..., 1:])
         np.greater(np.take(across, col_end, axis=-1), np.take(across, col_start, axis=-1),
-                   out=out[..., c, :, :])
+                   out=out[..., k, :, :])
     return out
 
 
@@ -115,11 +111,12 @@ def multilabel_from_grid_mask(grid_mask: np.ndarray, config) -> list[np.ndarray]
     """One (K, H_dml, W_dml) presence target per level from a mask already
     decimated to the backbone output grid, or one (N, K, H_dml, W_dml) stack
     per level from an (N, H, W) stack of them; window sizes are defined on
-    the multi-label grid and mapped to their extent on this one."""
+    the multi-label grid and mapped to their extent on this one.  A label
+    that is neither a class below `num_classes` nor IGNORE is a DataError."""
     s = config.dml_extra_stride
     h, w = grid_mask.shape[-2:]
     if h % s or w % s:
         raise ConfigError(f"grid mask {h}x{w} not divisible by extra stride {s}")
-    binary = binarize_channels(grid_mask, config.num_classes)
-    return [dilate_window(binary, effective_window(wj, s), s)
+    check_labels(grid_mask, config.num_classes)
+    return [dilate_window(grid_mask, effective_window(wj, s), s, config.num_classes)
             for wj in config.window_sizes]

@@ -1,17 +1,22 @@
 """Property test of the command line's exit codes: whatever values the
-flags of `describe`, `gen-data`, `gen-gt`, `eval` and `predict` hold,
-`main` returns 0, 1, 2 or 3 (a malformed config value is 1), or argparse
-exits 1 (a stray token or a bad `--split`), and no other exception
-escapes.  Numbers are bounded only to keep allocations small: sizes up to
-64, widths up to 16, scene counts up to 3, windows up to 10**6 and classes
-up to 300."""
+flags of any command hold, `main` returns 0, 1, 2 or 3 (a malformed config
+value is 1), or argparse exits 1 (a stray token, a bad `--split` or
+`--tolerance`), and no other exception escapes.  Numbers are bounded only
+to keep allocations and runs small: sizes up to 64, widths up to 16, scene
+counts up to 3, windows up to 10**6, classes up to 300, and at most 2
+training iterations on a corpus of 16x16 scenes.  `grad-check` stops once
+its config is valid: one real check can take seconds."""
 
 import shutil
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmlseg import cli
 from dmlseg.cli import main
+from dmlseg.model import ModelConfig
+from dmlseg.train import GradCheckReport
 from test_fuzz_config import TRICKY
 
 MODEL_FLAGS = ["--classes", "4", "--input-size", "16x16", "--low-channels", "8/2,8/2",
@@ -26,6 +31,8 @@ def run(tmp_path_factory):
                  "--classes", "4", "--input-size", "16x16"]) == 0
     assert main(["train", "--corpus", str(root / "corpus"), "--out", str(root / "run"),
                  *MODEL_FLAGS, "--iterations", "1", "--batch-size", "2"]) == 0
+    assert main(["gen-gt", "--corpus", str(root / "corpus"), "--out", str(root / "gt.dmls"),
+                 *MODEL_FLAGS]) == 0
     return root
 
 
@@ -67,9 +74,31 @@ MODEL_FLAG_VALUES = {
     "--levels": _value(st.integers(-1, 4)),
 }
 
+TRAIN_FLAG_VALUES = {
+    "--batch-size": _value(st.integers(0, 3)),
+    "--momentum": _value(st.floats(-0.5, 1.5)),
+    "--weight-decay": _value(st.floats(-1, 1)),
+    "--lr": _value(st.floats(-1, 10)),
+    "--seed": _value(SEED),
+    "--eval-every": _value(st.integers(-1, 2)),
+    "--precision": _value(st.sampled_from(["train32", "check64"])),
+    "--lr-poly": _value(st.floats(-1, 2)),
+}
+# mostly 1 or 2, else text that is no positive integer: these strings hold
+# no digit, and TRICKY's " 7 " and fullwidth nine would parse as 7 and 9
+ITERATIONS = st.sampled_from([
+    st.integers(1, 2).map(str), st.integers(1, 2).map(str), st.integers(1, 2).map(str),
+    st.sampled_from(["", "0", "-1", "1e3", "1.5", "nan", "x", "2x"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+]).flatmap(lambda values: values)
+# the 16x16 model the corpus fits and a batch its 2 training scenes fill,
+# ahead of the drawn flags that override them
+BASE_RUN = {**{flag: st.just(value) for flag, value in zip(MODEL_FLAGS[::2], MODEL_FLAGS[1::2])},
+            "--batch-size": st.just("2")}
 
-# mostly nothing; else a flag no command takes, --seed (which only
-# gen-data of these takes) or a positional argument
+
+# mostly nothing; else a flag no command takes, --seed (which describe,
+# gen-gt, eval and predict do not take) or a positional argument
 STRAY = st.sampled_from([[]] * 5 + [["--serial"], ["--seed", "1"], ["x"]])
 
 
@@ -82,6 +111,10 @@ def _argv(command, run, out):
     image = st.sampled_from([run / "corpus" / "images" / "img_00000.ppm",
                              run / "corpus" / "masks" / "msk_00000.pgm",
                              run / "run" / "checkpoint.dmls", run / "missing.ppm"]).map(str)
+    # the commands that train mostly get the corpus, so that most examples train
+    train_corpus = st.sampled_from([run / "corpus"] * 4 + [run / "run", run / "missing"]).map(str)
+    gt_cache = st.sampled_from([run / "gt.dmls", run / "run" / "checkpoint.dmls",
+                                run / "missing.dmls", run / "corpus" / "manifest.txt"]).map(str)
     required, optional = {
         "describe": ({}, MODEL_FLAG_VALUES),
         # the counts are always given, as numbers: their defaults write 600 scenes
@@ -94,6 +127,16 @@ def _argv(command, run, out):
                   "--out": st.just(str(out / "eval.csv"))}),
         "predict": ({"--checkpoint": ckpt, "--image": image, "--out": st.just(str(out / "p"))},
                     {}),
+        "train": ({"--corpus": train_corpus, "--out": st.just(str(out / "run")),
+                   "--iterations": ITERATIONS, **BASE_RUN},
+                  {**MODEL_FLAG_VALUES, **TRAIN_FLAG_VALUES, "--gt-cache": gt_cache}),
+        "experiment": ({"--corpus": train_corpus, "--out": st.just(str(out / "exp")),
+                        "--iterations": ITERATIONS, **BASE_RUN},
+                       {**MODEL_FLAG_VALUES, **TRAIN_FLAG_VALUES,
+                        "--run-levels": st.one_of(_value(st.integers(-1, 4)), _joined(
+                            st.integers(-1, 4).map(str), ",", 4))}),
+        "grad-check": ({}, {**MODEL_FLAG_VALUES, "--seed": _value(SEED),
+                            "--tolerance": _value(st.floats(0, 1e-3))}),
     }[command]
     chosen = st.sets(st.sampled_from(sorted(optional)), max_size=3) if optional \
         else st.just(set())
@@ -110,14 +153,11 @@ def _argv(command, run, out):
     return build()
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_cli_exit_code_is_0_to_3(data, run):
+def _exit_code_is_0_to_3(data, run, commands):
     out = run / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
-    command = data.draw(st.sampled_from(["describe", "gen-data", "gen-gt", "eval", "predict"]),
-                        label="command")
+    command = data.draw(st.sampled_from(commands), label="command")
     argv = data.draw(_argv(command, run, out), label="argv")
     try:
         code = main(argv)
@@ -125,3 +165,23 @@ def test_cli_exit_code_is_0_to_3(data, run):
         assert exc.code in (0, 1)
     else:
         assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_code_is_0_to_3(data, run):
+    _exit_code_is_0_to_3(data, run, ["describe", "gen-data", "gen-gt", "eval", "predict"])
+
+
+def _checked_config(cfg, tolerance, *, seed):
+    """grad_check's stand-in: what a valid config and seed reach, reported
+    as one error of 1e-5, so a tolerance decides between exit 0 and 3."""
+    assert isinstance(cfg, ModelConfig) and isinstance(seed, int) and seed >= 0
+    return GradCheckReport({"low.0.weight": 1e-5}, 1e-5, tolerance, 1e-5 <= tolerance)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_training_commands_exit_code_is_0_to_3(data, run):
+    with mock.patch.object(cli, "grad_check", _checked_config):
+        _exit_code_is_0_to_3(data, run, ["train", "experiment", "grad-check"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dmlseg.errors import ConfigError, DataError
-from dmlseg.gt_gen import (IGNORE, binarize_channels, dilate_window, downsample_mask,
+from dmlseg.gt_gen import (IGNORE, dilate_window, downsample_mask,
                            effective_window, multilabel_from_grid_mask)
 from dmlseg.model import ModelConfig
 from dmlseg.train import prepare_targets
@@ -21,58 +22,82 @@ def desk_config(**kw):
     return ModelConfig(**defaults)
 
 
-class TestBinarize:
+def one_hot(labels, num_classes):
+    """(..., H, W) labels -> (..., K, H, W) {0,1} planes; a label outside
+    0..K-1, IGNORE included, is in no plane."""
+    return (labels[..., None, :, :] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
+
+
+def random_labels(rng, shape, num_classes, density):
+    """Labels below `num_classes` on about a `density` share of the pixels,
+    IGNORE on the rest."""
+    labels = rng.integers(0, num_classes, size=shape).astype(np.uint8)
+    labels[rng.random(shape) >= density] = IGNORE
+    return labels
+
+
+class TestOneHot:
+    """Window 1 at stride 1 is the one-hot of the labels."""
+
     def test_two_class_checkerboard(self):
         mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        stack = binarize_channels(mask, 2)
+        stack = dilate_window(mask, 1, 1, 2)
         assert stack[0].tolist() == [[1, 0], [0, 1]]
         assert stack[1].tolist() == [[0, 1], [1, 0]]
 
     def test_all_ignore_is_zero(self):
         mask = np.full((3, 3), IGNORE, dtype=np.uint8)
-        assert np.all(binarize_channels(mask, 5) == 0)
+        assert np.all(dilate_window(mask, 1, 1, 5) == 0)
 
     def test_channels_partition_valid_pixels(self):
         rng = np.random.default_rng(0)
         mask = rng.integers(0, 6, size=(10, 10)).astype(np.uint8)
         mask[rng.random((10, 10)) < 0.2] = IGNORE
-        stack = binarize_channels(mask, 6)
+        stack = dilate_window(mask, 1, 1, 6)
         sums = stack.sum(axis=0)
         assert np.array_equal(sums, (mask != IGNORE).astype(np.uint8))
 
-    def test_out_of_range_names_pixel(self):
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        mask[2, 3] = 9
-        with pytest.raises(DataError, match=r"\(2, 3\)"):
-            binarize_channels(mask, 4)
+    def test_labels_beyond_classes_in_no_channel(self):
+        mask = np.array([[0, 1, 2, 7], [IGNORE, 1, 200, 0]], dtype=np.uint8)
+        stack = dilate_window(mask, 1, 1, 2)
+        assert stack.tolist() == [[[1, 0, 0, 0], [0, 0, 0, 1]],
+                                  [[0, 1, 0, 0], [0, 1, 0, 0]]]
+
+    @pytest.mark.parametrize("windows", [(1,), ()], ids=["one-level", "zero-levels"])
+    def test_out_of_range_names_pixel(self, windows):
+        grid = np.zeros((4, 4), dtype=np.uint8)
+        grid[2, 3] = 9
+        cfg = SimpleNamespace(num_classes=4, dml_extra_stride=1, window_sizes=windows)
+        with pytest.raises(DataError, match=r"^mask value 9 at pixel \(2, 3\) is outside 0\.\.3$"):
+            multilabel_from_grid_mask(grid, cfg)
 
 
 class TestDilate:
     def test_point_becomes_block(self):
-        binary = np.zeros((1, 9, 9), dtype=np.uint8)
-        binary[0, 4, 4] = 1
-        out = dilate_window(binary, 3, 1)
+        labels = np.full((9, 9), IGNORE, dtype=np.uint8)
+        labels[4, 4] = 0
+        out = dilate_window(labels, 3, 1, 1)
         expect = np.zeros((9, 9), dtype=np.uint8)
         expect[3:6, 3:6] = 1
         assert np.array_equal(out[0], expect)
 
     def test_window_one_stride_one_identity(self):
         rng = np.random.default_rng(1)
-        binary = (rng.random((3, 8, 8)) < 0.3).astype(np.uint8)
-        assert np.array_equal(dilate_window(binary, 1, 1), binary)
+        labels = random_labels(rng, (8, 8), 3, 0.9)
+        assert np.array_equal(dilate_window(labels, 1, 1, 3), one_hot(labels, 3))
 
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
-            dilate_window(np.zeros((1, 4, 4), dtype=np.uint8), 2, 1)
+            dilate_window(np.zeros((4, 4), dtype=np.uint8), 2, 1, 1)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         combos = [(w, s) for w in (1, 3, 5, 7) for s in (1, 2, 4)]
         for i in range(48):
             w, s = combos[i % len(combos)]
-            binary = (rng.random((3, 16, 16)) < 0.25).astype(np.uint8)
-            out = dilate_window(binary, w, s)
-            expect = dilate_loops(binary, w, s)
+            labels = random_labels(rng, (16, 16), 3, 0.75)
+            out = dilate_window(labels, w, s, 3)
+            expect = dilate_loops(one_hot(labels, 3), w, s)
             assert np.array_equal(out, expect), f"window={w} stride={s}"
 
     def test_wide_windows_and_odd_stride_match_loop_oracle(self):
@@ -81,37 +106,43 @@ class TestDilate:
         rng = np.random.default_rng(4)
         combos = [(21, 2), (9, 2), (5, 2), (31, 2), (5, 3), (9, 3), (3, 12)]
         for w, s in combos:
-            binary = (rng.random((2, 24, 24)) < 0.05).astype(np.uint8)
-            out = dilate_window(binary, w, s)
-            assert out.flags.c_contiguous
-            assert np.array_equal(out, dilate_loops(binary, w, s)), f"window={w} stride={s}"
+            labels = random_labels(rng, (24, 24), 2, 0.1)
+            out = dilate_window(labels, w, s, 2)
+            assert out.dtype == np.uint8 and out.flags.c_contiguous
+            assert np.array_equal(out, dilate_loops(one_hot(labels, 2), w, s)), \
+                f"window={w} stride={s}"
 
     def test_monotone_in_window_size(self):
         rng = np.random.default_rng(3)
-        binary = (rng.random((2, 12, 12)) < 0.2).astype(np.uint8)
-        prev = dilate_window(binary, 1, 2)
+        labels = random_labels(rng, (12, 12), 2, 0.4)
+        prev = dilate_window(labels, 1, 2, 2)
         for w in (3, 5, 7):
-            cur = dilate_window(binary, w, 2)
+            cur = dilate_window(labels, w, 2, 2)
             assert np.all(cur >= prev)
             prev = cur
 
     def test_constant_channel_unchanged(self):
-        binary = np.ones((1, 8, 8), dtype=np.uint8)
+        labels = np.zeros((8, 8), dtype=np.uint8)
         for w in (1, 3, 7):
-            assert np.all(dilate_window(binary, w, 2) == 1)
+            out = dilate_window(labels, w, 2, 2)
+            assert np.all(out[0] == 1) and np.all(out[1] == 0)
 
     def test_window_covering_more_than_255_cells(self):
-        binary = np.ones((1, 32, 32), dtype=np.uint8)
+        labels = np.zeros((32, 32), dtype=np.uint8)
         for w, s in ((63, 1), (31, 2), (17, 4)):
-            assert np.all(dilate_window(binary, w, s) == 1), f"window={w} stride={s}"
+            assert np.all(dilate_window(labels, w, s, 1) == 1), f"window={w} stride={s}"
 
     def test_side_of_more_than_255_cells(self):
+        # class 0 on about 88 % of a 512- or 300-cell side: its prefix sums
+        # pass 255
         rng = np.random.default_rng(5)
-        for shape in ((2, 2, 512), (2, 300, 4)):
-            binary = (rng.random(shape) < 0.9).astype(np.uint8)
+        for shape in ((2, 512), (300, 4)):
+            labels = (rng.random(shape) >= 0.9).astype(np.uint8)
+            labels[rng.random(shape) < 0.02] = IGNORE
             for w, s in ((3, 2), (1, 1)):
-                out = dilate_window(binary, w, s)
-                assert np.array_equal(out, dilate_loops(binary, w, s)), f"{shape} {w} {s}"
+                out = dilate_window(labels, w, s, 2)
+                expect = dilate_loops(one_hot(labels, 2), w, s)
+                assert np.array_equal(out, expect), f"{shape} {w} {s}"
 
 
 class TestDownsample:
@@ -230,8 +261,8 @@ def random_masks(seed, n, num_classes, size, factor):
 
 def oracle_targets(grid, num_classes, windows, stride):
     """Per-level presence targets of one decimated mask, by the loop oracle."""
-    binary = (grid[None] == np.arange(num_classes)[:, None, None]).astype(np.uint8)
-    return [dilate_loops(binary, effective_window(w, stride), stride) for w in windows]
+    return [dilate_loops(one_hot(grid, num_classes), effective_window(w, stride), stride)
+            for w in windows]
 
 
 def assert_same_array(got, expect):
@@ -300,3 +331,16 @@ class TestWholeStack:
 
     def test_no_masks(self):
         assert prepare_targets([], desk_config()) == ([], [])
+
+    def test_peak_memory_follows_returned_bytes(self):
+        # at 255 classes the targets dwarf the grids; a corpus-sized copy of
+        # every class plane would peak at about 2.7x what is returned
+        masks = random_masks(7, 100, 255, (32, 32), 4)
+        tracemalloc.start()
+        try:
+            grids, targets = prepare_targets(masks, desk_config(num_classes=255))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(g.nbytes for g in grids) + sum(t.nbytes for ts in targets for t in ts)
+        assert peak <= 1.5 * returned, f"peak {peak} B for {returned} B returned"

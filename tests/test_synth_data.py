@@ -242,8 +242,9 @@ class TestCorpus:
 
 class TestGoldenBytes:
     """Corpus and target bytes pinned to their values from before scene and
-    target generation became whole-corpus passes: any change to a scene, a
-    file or a target byte fails here."""
+    target generation became whole-corpus passes (the levels-0 and 40-class
+    caches: from before targets were read straight from the label grids):
+    any change to a scene, a file or a target byte fails here."""
 
     @pytest.mark.parametrize("scene, content_hash", [
         (SceneSpec(seed=0, size=(96, 96), num_classes=8),
@@ -257,13 +258,22 @@ class TestGoldenBytes:
         assert write_corpus(scene, 6, 2, tmp_path).content_hash == content_hash
         assert read_corpus(tmp_path).content_hash == content_hash
 
-    def test_desk_gt_cache_bytes(self, tmp_path):
-        corpus = write_corpus(SceneSpec(seed=0, size=(96, 96), num_classes=8), 6, 2,
-                              tmp_path / "corpus")
-        cfg = ModelConfig(num_classes=8, input_size=(96, 96), low_channels=((24, 2), (48, 2)),
-                          seg_channels=(64, 64))
+    @pytest.mark.parametrize("scene, model, cache_hash", [
+        (SceneSpec(seed=0, size=(96, 96), num_classes=8),
+         dict(low_channels=((24, 2), (48, 2)), seg_channels=(64, 64)),
+         "fb371fec536c1405d285f689e95eadb160246cf9c0b82a9590ed7bf668bb9917"),
+        (SceneSpec(seed=0, size=(96, 96), num_classes=8),
+         dict(low_channels=((24, 2), (48, 2)), seg_channels=(64, 64), levels=0,
+              window_sizes=()),
+         "46010743c9529713f9d9d7ec1cd525b3b2f51d682ca5fb983ab141778786b4a3"),
+        (SceneSpec(seed=3, size=(48, 48), num_classes=40),
+         dict(low_channels=((8, 2), (8, 2)), seg_channels=(8, 8), window_sizes=(5, 3, 1)),
+         "b9db77ad087ca8615eadc862e99f9cae2d321cba35638cdabd87fa90e0b8f17c"),
+    ], ids=["desk", "levels-0", "40-class"])
+    def test_gt_cache_bytes(self, scene, model, cache_hash, tmp_path):
+        corpus = write_corpus(scene, 6, 2, tmp_path / "corpus")
+        cfg = ModelConfig(num_classes=scene.num_classes, input_size=scene.size, **model)
         masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
         save_gt_cache(tmp_path / "gt.dmls", cfg, corpus.content_hash,
                       *prepare_targets(masks, cfg))
-        assert hashlib.sha256((tmp_path / "gt.dmls").read_bytes()).hexdigest() == \
-            "fb371fec536c1405d285f689e95eadb160246cf9c0b82a9590ed7bf668bb9917"
+        assert hashlib.sha256((tmp_path / "gt.dmls").read_bytes()).hexdigest() == cache_hash
