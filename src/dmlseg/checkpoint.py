@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .gt_gen import IGNORE
+from .gt_gen import check_targets
 from .model import Model, ModelConfig, build_model
 
 MAGIC = b"DMLS"
@@ -142,20 +142,22 @@ def restore_model(model: Model, arrays: dict[str, np.ndarray]) -> None:
 # --- cached multi-label targets ----------------------------------------------
 
 def save_gt_cache(path: Path, config: ModelConfig, corpus_hash: str,
-                  grids: list[np.ndarray], targets: list[list[np.ndarray]]) -> None:
-    """Persist decimated masks and per-level presence targets for a corpus."""
+                  grids: np.ndarray, targets: np.ndarray) -> None:
+    """Persist a corpus's `prepare_targets` stacks, one entry per image and level."""
+    check_targets(grids, targets, config, len(grids))
     header = config.to_text() + f"corpus_hash = {corpus_hash}\n"
     arrays: dict[str, np.ndarray] = {}
-    for i, (grid, levels) in enumerate(zip(grids, targets)):
-        arrays[f"img{i:05d}/seg"] = grid[None, None].astype(np.uint8)
-        for j, t in enumerate(levels):
-            arrays[f"img{i:05d}/lvl{j}"] = t[None].astype(np.uint8)
+    for i in range(len(grids)):
+        arrays[f"img{i:05d}/seg"] = grids[i, None, None].astype(np.uint8)
+        for j in range(config.levels):
+            arrays[f"img{i:05d}/lvl{j}"] = targets[i, j, None].astype(np.uint8)
     save_container(path, header, arrays)
 
 
 def load_gt_cache(path: Path, config: ModelConfig, corpus_hash: str
-                  ) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-    """Targets cached for this config and corpus; anything else is a DataError."""
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Targets cached for this config and corpus as `prepare_targets` makes
+    them, (N, Hg, Wg) and (N, J, K, Hd, Wd) uint8; anything else is a DataError."""
     header, arrays = load_container(path)
     expect = config.to_text() + f"corpus_hash = {corpus_hash}\n"
     if header != expect:
@@ -167,9 +169,12 @@ def load_gt_cache(path: Path, config: ModelConfig, corpus_hash: str
     names = {f"img{i:05d}/{k}": shape for i in range(count) for k, shape in shapes.items()}
     if arrays.keys() != names.keys() or any(arrays[k].shape != v for k, v in names.items()):
         raise DataError(f"{path}: entries are not {count} images of {shapes}")
-    grids = [arrays[f"img{i:05d}/seg"][0, 0] for i in range(count)]
-    if any(((g >= config.num_classes) & (g != IGNORE)).any() for g in grids):
-        raise DataError(f"{path}: a seg entry holds a label >= {config.num_classes}")
-    targets = [[arrays[f"img{i:05d}/lvl{j}"][0] for j in range(config.levels)]
-               for i in range(count)]
+    grids = np.array([arrays[n] for n in names if n.endswith("/seg")], np.uint8)
+    targets = np.array([arrays[n] for n in names if "/lvl" in n], np.uint8)
+    grids = grids.reshape(count, *config.seg_grid)
+    targets = targets.reshape(count, config.levels, config.num_classes, *config.dml_grid)
+    try:
+        check_targets(grids, targets, config, count)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return grids, targets

@@ -110,8 +110,7 @@ def _cmd_gen_gt(args) -> int:
     corpus = read_corpus(args.corpus)
     cfg = ModelConfig.from_kv(_merged(args, MODEL_DEFAULTS))
     masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
-    grids, targets = prepare_targets(masks, cfg)
-    save_gt_cache(args.out, cfg, corpus.content_hash, grids, targets)
+    save_gt_cache(args.out, cfg, corpus.content_hash, *prepare_targets(masks, cfg))
     print(f"cached targets for {len(masks)} masks at {args.out}")
     return 0
 
@@ -123,14 +122,12 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig.from_kv(kv)
     grids = targets = None
     if args.gt_cache is not None:
-        all_grids, all_targets = load_gt_cache(args.gt_cache, model_cfg,
-                                               corpus.content_hash)
-        if len(all_grids) != len(corpus.entries):
-            raise DataError(f"{args.gt_cache}: cache holds {len(all_grids)} images, "
+        grids, targets = load_gt_cache(args.gt_cache, model_cfg, corpus.content_hash)
+        if len(grids) != len(corpus.entries):
+            raise DataError(f"{args.gt_cache}: cache holds {len(grids)} images, "
                             f"corpus has {len(corpus.entries)}")
         idxs = corpus.indices("train")
-        grids = [all_grids[i] for i in idxs]
-        targets = [all_targets[i] for i in idxs]
+        grids, targets = grids[idxs], targets[idxs]
     result = train(corpus, model_cfg, train_cfg, args.out,
                    grids=grids, targets=targets)
     print(f"checkpoint: {result.checkpoint_path}")

@@ -34,35 +34,37 @@ def _kept_spans(n: int, window: int, stride: int) -> tuple[np.ndarray, np.ndarra
     return np.maximum(centers - half, 0), np.minimum(centers + half + 1, n)
 
 
-def dilate_window(labels: np.ndarray, window: int, out_stride: int,
+def dilate_window(labels: np.ndarray, windows, out_stride: int,
                   num_classes: int) -> np.ndarray:
-    """Per-class presence in a centered window, clipped at borders, strided.
+    """Per-class presence in centered windows, clipped at borders, strided.
 
     `labels` is an (H, W) label grid or any stack of them; the output is
-    (..., K, H/s, W/s) uint8.  Cell (r, c) of channel k is 1 when label k
-    lies in the window centered on pixel (r*s + (s-1)//2, c*s + (s-1)//2);
-    a label outside 0..K-1, IGNORE included, belongs to no class.  The
-    window holds k when its count of k is positive, taken from prefix sums
-    down the columns and then along the kept rows.  One class is done at a
-    time, so the temporaries do not grow with K.
+    (..., J, K, H/s, W/s) uint8.  Cell (r, c) of level j, channel k is 1 when
+    label k lies in the window of `windows[j]` centered on pixel
+    (r*s + (s-1)//2, c*s + (s-1)//2); a label outside 0..K-1, IGNORE
+    included, belongs to no class.  The window holds k when its count of k
+    is positive, taken from prefix sums down the columns, made once per class
+    for all levels, and then along the kept rows.  One class is done at a
+    time, so the temporaries grow with neither K nor J.
     """
-    if window % 2 == 0 or window < 1:
-        raise ConfigError(f"dilation window must be odd and positive, got {window}")
+    for window in windows:
+        if window % 2 == 0 or window < 1:
+            raise ConfigError(f"dilation window must be odd and positive, got {window}")
     *lead, h, w = labels.shape
     if h % out_stride or w % out_stride:
         raise ConfigError(f"mask size {h}x{w} not divisible by stride {out_stride}")
     count = np.min_scalar_type(max(h, w))  # no prefix sum exceeds a side
-    row_start, row_end = _kept_spans(h, window, out_stride)
-    col_start, col_end = _kept_spans(w, window, out_stride)
-    out = np.empty((*lead, num_classes, h // out_stride, w // out_stride), np.uint8)
+    spans = [(_kept_spans(h, v, out_stride), _kept_spans(w, v, out_stride)) for v in windows]
+    out = np.empty((*lead, len(spans), num_classes, h // out_stride, w // out_stride), np.uint8)
     down = np.zeros((*lead, h + 1, w), count)
     across = np.zeros((*lead, h // out_stride, w + 1), count)
     for k in range(num_classes):
         np.cumsum(labels == k, axis=-2, dtype=count, out=down[..., 1:, :])
-        hit = np.take(down, row_end, axis=-2) > np.take(down, row_start, axis=-2)
-        np.cumsum(hit, axis=-1, dtype=count, out=across[..., 1:])
-        np.greater(np.take(across, col_end, axis=-1), np.take(across, col_start, axis=-1),
-                   out=out[..., k, :, :])
+        for j, ((row_start, row_end), (col_start, col_end)) in enumerate(spans):
+            hit = np.take(down, row_end, axis=-2) > np.take(down, row_start, axis=-2)
+            np.cumsum(hit, axis=-1, dtype=count, out=across[..., 1:])
+            np.greater(np.take(across, col_end, axis=-1),
+                       np.take(across, col_start, axis=-1), out=out[..., j, k, :, :])
     return out
 
 
@@ -107,16 +109,28 @@ def downsample_mask(mask: np.ndarray, factor: int, num_classes: int) -> np.ndarr
     return out
 
 
-def multilabel_from_grid_mask(grid_mask: np.ndarray, config) -> list[np.ndarray]:
-    """One (K, H_dml, W_dml) presence target per level from a mask already
-    decimated to the backbone output grid, or one (N, K, H_dml, W_dml) stack
-    per level from an (N, H, W) stack of them; window sizes are defined on
-    the multi-label grid and mapped to their extent on this one.  A label
-    that is neither a class below `num_classes` nor IGNORE is a DataError."""
+def multilabel_from_grid_mask(grid_mask: np.ndarray, config) -> np.ndarray:
+    """(J, K, H_dml, W_dml) presence targets, all levels in one pass, from a
+    mask already decimated to the backbone output grid, or (N, J, K, H_dml,
+    W_dml) from an (N, H, W) stack of them; window sizes are defined on the
+    multi-label grid and mapped to their extent on this one.  A label that
+    is neither a class below `num_classes` nor IGNORE is a DataError."""
     s = config.dml_extra_stride
     h, w = grid_mask.shape[-2:]
     if h % s or w % s:
         raise ConfigError(f"grid mask {h}x{w} not divisible by extra stride {s}")
     check_labels(grid_mask, config.num_classes)
-    return [dilate_window(grid_mask, effective_window(wj, s), s, config.num_classes)
-            for wj in config.window_sizes]
+    return dilate_window(grid_mask, [effective_window(wj, s) for wj in config.window_sizes],
+                         s, config.num_classes)
+
+
+def check_targets(grids: np.ndarray, targets: np.ndarray, config, count: int) -> None:
+    """Raise ConfigError unless `grids` and `targets` are `count` images'
+    (Hg, Wg) and (J, K, Hd, Wd) stacks for `config`, and DataError naming
+    the pixel of a grid label that is neither a class below K nor IGNORE."""
+    want = (count, *config.seg_grid), (count, config.levels, config.num_classes, *config.dml_grid)
+    got = (np.shape(grids), np.shape(targets))
+    if got != want:
+        raise ConfigError(f"targets of shapes {got[0]} and {got[1]} do not fit "
+                          f"{want[0]} and {want[1]}")
+    check_labels(grids, config.num_classes)

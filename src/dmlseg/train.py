@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor
 from .checkpoint import save_model_checkpoint, write_atomic
 from .errors import ConfigError, NumericError
-from .gt_gen import IGNORE, check_labels, downsample_mask, multilabel_from_grid_mask
+from .gt_gen import IGNORE, check_labels, check_targets, downsample_mask, multilabel_from_grid_mask
 from .kv import KvConfig
 from .losses import LossReport, multilabel_nll, softmax_nll, total_objective
 from .metrics import EvalReport, accumulate, finalize
@@ -68,18 +68,16 @@ class TrainResult:
     reports: list[LossReport]
 
 
-def prepare_targets(masks, config: ModelConfig):
-    """Decimated segmentation masks plus per-level presence targets, both
-    made for the whole stack of masks at once; a mask whose shape is not the
-    config's input size is a ConfigError."""
+def prepare_targets(masks, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, Hg, Wg) decimated masks and (N, J, K, Hd, Wd) presence targets
+    of N uint8 label masks, both uint8 and made for the whole stack at once;
+    a mask whose shape is not the config's input size is a ConfigError."""
     for m in masks:
         if m.shape != config.input_size:
             raise ConfigError(f"mask shape {m.shape} is not input_size {config.input_size}")
-    if len(masks) == 0:
-        return [], []
-    grids = downsample_mask(np.stack(masks), config.s_low, config.num_classes)
-    levels = multilabel_from_grid_mask(grids, config)
-    return list(grids), [[t[i] for t in levels] for i in range(len(grids))]
+    grids = downsample_mask(np.asarray(masks, np.uint8).reshape(len(masks), *config.input_size),
+                            config.s_low, config.num_classes)  # unnamed: freed before the dilation
+    return grids, multilabel_from_grid_mask(grids, config)
 
 
 @contextmanager
@@ -93,10 +91,10 @@ def _precision(mode: str):
         tensor.set_precision(prev_mode)
 
 
-def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: list[np.ndarray],
+def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: np.ndarray,
               memo: dict | None = None) -> tuple[Tensor, LossReport]:
     """Forward pass plus the joint loss: softmax NLL of the fused scores and
-    lambda times one presence loss per DML level.
+    lambda times one presence loss per DML level j, against `y_mul[:, j-1]`.
 
     `memo` is handed to `forward` as its memo of block outputs, and also
     holds head j's presence loss (j from 1) under `dml{j}.loss`.  The
@@ -109,7 +107,7 @@ def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: list[np.ndarray
     for j, m in enumerate(net.m, start=1):
         key = f"dml{j}.loss"
         if key not in memo:
-            memo[key] = multilabel_nll(m, y_mul[j - 1])
+            memo[key] = multilabel_nll(m, y_mul[:, j - 1])
         l_mul.append(memo[key])
     l_seg = softmax_nll(net.p, y_seg)
     return total_objective(l_seg, l_mul, model.config.lam)
@@ -137,12 +135,16 @@ def _train_indices(corpus: Corpus, train_cfg: TrainConfig) -> list[int]:
 
 def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           out_dir: Path, grids=None, targets=None) -> TrainResult:
-    """SGD over the joint objective; writes checkpoint.dmls and loss.csv."""
+    """SGD over the joint objective; writes checkpoint.dmls and loss.csv.
+    `grids` (N, Hg, Wg) and `targets` (N, J, K, Hd, Wd), or their per-image
+    rows, default to `prepare_targets` of the split; a misfit is a ConfigError."""
     with _precision(train_cfg.precision):
         idxs = _train_indices(corpus, train_cfg)
         images = [corpus.load_image(i) for i in idxs]
         if grids is None or targets is None:
             grids, targets = prepare_targets([corpus.load_mask(i) for i in idxs], model_cfg)
+        grids, targets = np.asarray(grids), np.asarray(targets)
+        check_targets(grids, targets, model_cfg, len(idxs))
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)  # only once the inputs are known good
@@ -158,13 +160,10 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
             for it in range(train_cfg.iterations):
                 idx = next(batches)
                 x = Tensor(np.stack([images[i] for i in idx]))
-                y_seg = np.stack([grids[i] for i in idx])
-                y_mul = [np.stack([targets[i][j] for i in idx])
-                         for j in range(model_cfg.levels)]
 
                 try:
                     with record() as g:
-                        total, report = objective(model, x, y_seg, y_mul)
+                        total, report = objective(model, x, grids[idx], targets[idx])
                     if not math.isfinite(report.total):
                         raise NumericError("non-finite loss")
                     g.backward(total)
@@ -258,6 +257,8 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, seed: int = 0) -> Gr
     recomputed.  Every evaluation still makes one `forward` call, and every
     value is bit-identical to a full recompute.
     """
+    if not tolerance >= 0:  # nan included
+        raise ConfigError(f"tolerance must be non-negative, got {tolerance}")
     with _precision("check64"):
         model = build_model(model_cfg, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
@@ -272,9 +273,7 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, seed: int = 0) -> Gr
         x_data = rng.random((FD_BATCH, 3, h, w))
         masks = rng.integers(0, model_cfg.num_classes, size=(FD_BATCH, h, w)).astype(np.uint8)
         masks[rng.random((FD_BATCH, h, w)) < 0.05] = IGNORE
-        grids, targets = prepare_targets(masks, model_cfg)
-        y_seg = np.stack(grids)
-        y_mul = [np.stack([t[j] for t in targets]) for j in range(model_cfg.levels)]
+        y_seg, y_mul = prepare_targets(masks, model_cfg)
 
         x = Tensor(x_data)
         memo: dict = {}
@@ -313,12 +312,12 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     corpus and schedule; returns the comparison CSV text.
 
     Every variant's config, the batch size and the labels of both splits
-    are checked, and each variant's targets built, before anything is
-    written."""
+    are checked, and targets built once, for the deepest variant (variant J
+    takes their first J levels), before anything is written."""
     runs = ExperimentConfig(tuple(levels))
     cfgs = [dataclasses.replace(base_cfg, levels=j) for j in runs.run_levels]
     masks = [corpus.load_mask(i) for i in _train_indices(corpus, train_cfg)]
-    prepared = [prepare_targets(masks, cfg) for cfg in cfgs]
+    grids, targets = prepare_targets(masks, max(cfgs, key=lambda cfg: cfg.levels))
     val = corpus.indices("val")
     if not val:
         raise ConfigError("corpus has no 'val' images")
@@ -330,8 +329,8 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     write_atomic(out / "experiment_config.txt", manifest.encode("utf-8"))
     rows = [EXPERIMENT_HEADER]
     eval_reports = []
-    for j, cfg, (grids, targets) in zip(runs.run_levels, cfgs, prepared):
-        result = train(corpus, cfg, train_cfg, out / f"level{j}", grids, targets)
+    for j, cfg in zip(runs.run_levels, cfgs):
+        result = train(corpus, cfg, train_cfg, out / f"level{j}", grids, targets[:, :j])
         report = evaluate(result.model, corpus, "val")
         eval_reports.append(report)
         rows.append(f"{j},{report.mean_iou:.6f},{report.mean_wrong_class:.6f},"

@@ -60,7 +60,7 @@ def test_criterion_2_dilation_oracle():
         mask = rng.integers(0, 4, size=(16, 16)).astype(np.uint8)
         mask[rng.random((16, 16)) < 0.1] = IGNORE
         binary = (mask[None] == np.arange(4)[:, None, None]).astype(np.uint8)
-        got = dilate_window(mask, window, stride, 4)
+        got = dilate_window(mask, (window,), stride, 4)[0]
         expect = dilate_loops(binary, window, stride)
         assert np.array_equal(got, expect), f"mask {i}, window {window}, stride {stride}"
     elapsed = time.time() - start

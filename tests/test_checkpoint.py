@@ -135,12 +135,10 @@ def test_gt_cache_round_trip(tmp_path):
     grids, targets = prepare_targets(masks, cfg)
     save_gt_cache(tmp_path / "gt.dmls", cfg, "abc123", grids, targets)
     g2, t2 = load_gt_cache(tmp_path / "gt.dmls", cfg, "abc123")
-    assert len(g2) == 3
-    for a, b in zip(grids, g2):
-        assert np.array_equal(a, b)
-    for a_levels, b_levels in zip(targets, t2):
-        for a, b in zip(a_levels, b_levels):
-            assert np.array_equal(a, b)
+    assert g2.shape == (3, 8, 8) and t2.shape == (3, 3, 4, 4, 4)
+    assert g2.dtype == t2.dtype == np.uint8
+    assert np.array_equal(g2, grids)
+    assert np.array_equal(t2, targets)
     with pytest.raises(DataError, match="different config"):
         load_gt_cache(tmp_path / "gt.dmls", cfg, "otherhash")
 
@@ -161,6 +159,20 @@ def _drop_image_0(arrays):
         del arrays[name]
 
 
+@pytest.mark.parametrize("cut, message", [
+    (lambda g, t: (g, t[:2]), r"shapes \(3, 8, 8\) and \(2, 3, 4, 4, 4\) do not fit"),
+    (lambda g, t: (g, t[:, :2]), r"\(3, 2, 4, 4, 4\) do not fit \(3, 8, 8\) and \(3, 3, 4"),
+    (lambda g, t: (g[:, :4], t), r"\(3, 4, 8\) and \(3, 3, 4, 4, 4\) do not fit"),
+], ids=["fewer-targets", "fewer-levels", "narrow-grid"])
+def test_save_gt_cache_rejects_targets_not_fitting(cut, message, tmp_path):
+    cfg = tiny_config()
+    rng = np.random.default_rng(6)
+    masks = [rng.integers(0, 4, size=(32, 32)).astype(np.uint8) for _ in range(3)]
+    with pytest.raises(ConfigError, match=message):
+        save_gt_cache(tmp_path / "gt.dmls", cfg, "h", *cut(*prepare_targets(masks, cfg)))
+    assert not (tmp_path / "gt.dmls").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda a: a.pop("img00003/lvl1"),
     _drop_image_0,
@@ -170,4 +182,13 @@ def _drop_image_0(arrays):
 def test_malformed_gt_cache_is_data_error(tmp_path, edit):
     cfg = _edited_gt_cache(tmp_path, edit)
     with pytest.raises(DataError, match="gt.dmls"):
+        load_gt_cache(tmp_path / "gt.dmls", cfg, "h")
+
+
+def test_gt_cache_label_error_names_path_and_pixel(tmp_path):
+    def put_label(arrays):
+        arrays["img00002/seg"][0, 0, 5, 6] = 9
+    cfg = _edited_gt_cache(tmp_path, put_label)
+    with pytest.raises(DataError, match=r"gt\.dmls: mask value 9 at pixel \(5, 6\) "
+                                        r"is outside 0\.\.3$"):
         load_gt_cache(tmp_path / "gt.dmls", cfg, "h")

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmlseg.checkpoint import load_container, save_container
+from dmlseg.checkpoint import load_container, load_gt_cache, save_container
 from dmlseg.cli import CONFIG_KEYS, build_parser, main
 from dmlseg.kv import parse_kv
+from dmlseg.model import ModelConfig
 from dmlseg.synth_data import read_corpus, read_pgm, read_ppm
-from dmlseg.train import TrainConfig
+from dmlseg.train import TrainConfig, prepare_targets
 
 MODEL_FLAGS = ["--classes", "4", "--input-size", "32x32",
                "--low-channels", "8/2,8/2", "--seg-channels", "8,8",
@@ -329,6 +330,32 @@ def test_grad_check_command(capsys):
 def test_grad_check_impossible_tolerance_exits_3(capsys):
     code = main(["grad-check", "--tolerance", "0", "--seed", "0", *SMALL_CHECK])
     assert code == 3
+
+
+@pytest.mark.parametrize("tolerance, code", [("-1", 1), ("nan", 1), ("inf", 0)])
+def test_grad_check_tolerance_checked_first(tolerance, code, capsys):
+    assert main(["grad-check", "--tolerance", tolerance, *SMALL_CHECK]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert not out  # rejected before the check ran
+        assert err == f"error: tolerance must be non-negative, got {float(tolerance)}\n"
+    else:
+        assert "<= tolerance inf" in out
+
+
+def test_gen_gt_of_an_empty_corpus_loads_as_empty_stacks(tmp_path):
+    corpus = tmp_path / "empty"
+    assert main(["gen-data", "--out", str(corpus), "--train", "0", "--val", "0",
+                 "--classes", "4", "--input-size", "32x32"]) == 0
+    assert main(["gen-gt", "--corpus", str(corpus), "--out", str(tmp_path / "gt.dmls"),
+                 *MODEL_FLAGS]) == 0
+    cfg = ModelConfig(num_classes=4, input_size=(32, 32), low_channels=((8, 2), (8, 2)),
+                      seg_channels=(8, 8), window_sizes=(5, 3, 1))
+    grids, targets = load_gt_cache(tmp_path / "gt.dmls", cfg, read_corpus(corpus).content_hash)
+    empty = prepare_targets([], cfg)
+    assert (grids.shape, targets.shape) == (empty[0].shape, empty[1].shape)
+    assert (grids.shape, targets.shape) == ((0, 8, 8), (0, 3, 4, 4, 4))
+    assert grids.dtype == targets.dtype == np.uint8
 
 
 def test_experiment_command(corpus_dir, tmp_path, capsys):

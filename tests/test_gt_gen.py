@@ -36,30 +36,35 @@ def random_labels(rng, shape, num_classes, density):
     return labels
 
 
+def one_level(labels, window, stride, num_classes):
+    """`dilate_window`'s one level for a single window."""
+    return dilate_window(labels, (window,), stride, num_classes)[..., 0, :, :, :]
+
+
 class TestOneHot:
     """Window 1 at stride 1 is the one-hot of the labels."""
 
     def test_two_class_checkerboard(self):
         mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        stack = dilate_window(mask, 1, 1, 2)
+        stack = one_level(mask, 1, 1, 2)
         assert stack[0].tolist() == [[1, 0], [0, 1]]
         assert stack[1].tolist() == [[0, 1], [1, 0]]
 
     def test_all_ignore_is_zero(self):
         mask = np.full((3, 3), IGNORE, dtype=np.uint8)
-        assert np.all(dilate_window(mask, 1, 1, 5) == 0)
+        assert np.all(one_level(mask, 1, 1, 5) == 0)
 
     def test_channels_partition_valid_pixels(self):
         rng = np.random.default_rng(0)
         mask = rng.integers(0, 6, size=(10, 10)).astype(np.uint8)
         mask[rng.random((10, 10)) < 0.2] = IGNORE
-        stack = dilate_window(mask, 1, 1, 6)
+        stack = one_level(mask, 1, 1, 6)
         sums = stack.sum(axis=0)
         assert np.array_equal(sums, (mask != IGNORE).astype(np.uint8))
 
     def test_labels_beyond_classes_in_no_channel(self):
         mask = np.array([[0, 1, 2, 7], [IGNORE, 1, 200, 0]], dtype=np.uint8)
-        stack = dilate_window(mask, 1, 1, 2)
+        stack = one_level(mask, 1, 1, 2)
         assert stack.tolist() == [[[1, 0, 0, 0], [0, 0, 0, 1]],
                                   [[0, 1, 0, 0], [0, 1, 0, 0]]]
 
@@ -76,7 +81,7 @@ class TestDilate:
     def test_point_becomes_block(self):
         labels = np.full((9, 9), IGNORE, dtype=np.uint8)
         labels[4, 4] = 0
-        out = dilate_window(labels, 3, 1, 1)
+        out = one_level(labels, 3, 1, 1)
         expect = np.zeros((9, 9), dtype=np.uint8)
         expect[3:6, 3:6] = 1
         assert np.array_equal(out[0], expect)
@@ -84,11 +89,25 @@ class TestDilate:
     def test_window_one_stride_one_identity(self):
         rng = np.random.default_rng(1)
         labels = random_labels(rng, (8, 8), 3, 0.9)
-        assert np.array_equal(dilate_window(labels, 1, 1, 3), one_hot(labels, 3))
+        assert np.array_equal(one_level(labels, 1, 1, 3), one_hot(labels, 3))
 
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
-            dilate_window(np.zeros((4, 4), dtype=np.uint8), 2, 1, 1)
+            dilate_window(np.zeros((4, 4), dtype=np.uint8), (5, 2), 1, 1)
+
+    @pytest.mark.parametrize("shape", [(12, 12), (3, 12, 12)], ids=["grid", "stack"])
+    def test_levels_equal_one_window_at_a_time(self, shape):
+        # every level of one pass is the level a one-window pass makes; no
+        # window gives an empty level axis
+        rng = np.random.default_rng(6)
+        labels = random_labels(rng, shape, 3, 0.5)
+        windows = (7, 5, 3, 1)
+        out = dilate_window(labels, windows, 2, 3)
+        assert out.shape == (*shape[:-2], 4, 3, 6, 6)
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        for j, w in enumerate(windows):
+            assert np.array_equal(out[..., j, :, :, :], one_level(labels, w, 2, 3)), w
+        assert dilate_window(labels, (), 2, 3).shape == (*shape[:-2], 0, 3, 6, 6)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -96,7 +115,7 @@ class TestDilate:
         for i in range(48):
             w, s = combos[i % len(combos)]
             labels = random_labels(rng, (16, 16), 3, 0.75)
-            out = dilate_window(labels, w, s, 3)
+            out = one_level(labels, w, s, 3)
             expect = dilate_loops(one_hot(labels, 3), w, s)
             assert np.array_equal(out, expect), f"window={w} stride={s}"
 
@@ -107,7 +126,7 @@ class TestDilate:
         combos = [(21, 2), (9, 2), (5, 2), (31, 2), (5, 3), (9, 3), (3, 12)]
         for w, s in combos:
             labels = random_labels(rng, (24, 24), 2, 0.1)
-            out = dilate_window(labels, w, s, 2)
+            out = one_level(labels, w, s, 2)
             assert out.dtype == np.uint8 and out.flags.c_contiguous
             assert np.array_equal(out, dilate_loops(one_hot(labels, 2), w, s)), \
                 f"window={w} stride={s}"
@@ -115,22 +134,22 @@ class TestDilate:
     def test_monotone_in_window_size(self):
         rng = np.random.default_rng(3)
         labels = random_labels(rng, (12, 12), 2, 0.4)
-        prev = dilate_window(labels, 1, 2, 2)
+        prev = one_level(labels, 1, 2, 2)
         for w in (3, 5, 7):
-            cur = dilate_window(labels, w, 2, 2)
+            cur = one_level(labels, w, 2, 2)
             assert np.all(cur >= prev)
             prev = cur
 
     def test_constant_channel_unchanged(self):
         labels = np.zeros((8, 8), dtype=np.uint8)
         for w in (1, 3, 7):
-            out = dilate_window(labels, w, 2, 2)
+            out = one_level(labels, w, 2, 2)
             assert np.all(out[0] == 1) and np.all(out[1] == 0)
 
     def test_window_covering_more_than_255_cells(self):
         labels = np.zeros((32, 32), dtype=np.uint8)
         for w, s in ((63, 1), (31, 2), (17, 4)):
-            assert np.all(dilate_window(labels, w, s, 1) == 1), f"window={w} stride={s}"
+            assert np.all(one_level(labels, w, s, 1) == 1), f"window={w} stride={s}"
 
     def test_side_of_more_than_255_cells(self):
         # class 0 on about 88 % of a 512- or 300-cell side: its prefix sums
@@ -140,7 +159,7 @@ class TestDilate:
             labels = (rng.random(shape) >= 0.9).astype(np.uint8)
             labels[rng.random(shape) < 0.02] = IGNORE
             for w, s in ((3, 2), (1, 1)):
-                out = dilate_window(labels, w, s, 2)
+                out = one_level(labels, w, s, 2)
                 expect = dilate_loops(one_hot(labels, 2), w, s)
                 assert np.array_equal(out, expect), f"{shape} {w} {s}"
 
@@ -288,11 +307,12 @@ class TestWholeStack:
         cfg = SimpleNamespace(num_classes=num_classes, dml_extra_stride=stride,
                               window_sizes=tuple(windows))
         levels = multilabel_from_grid_mask(grids, cfg)
+        assert levels.shape == (n, len(windows), num_classes, *cells)
         for i, mask in enumerate(masks):
             grid = downsample_loops(mask, factor, num_classes)
             assert_same_array(grids[i], grid)
-            for got, expect in zip(levels, oracle_targets(grid, num_classes, windows, stride)):
-                assert_same_array(got[i], expect)
+            for got, expect in zip(levels[i], oracle_targets(grid, num_classes, windows, stride)):
+                assert_same_array(got, expect)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), num_classes=st.integers(2, 5),
@@ -321,7 +341,8 @@ class TestWholeStack:
             assert str(stacked.value) == str(alone.value)
             return
         grids, targets = prepare_targets(masks, cfg)
-        assert len(grids) == len(targets) == n
+        assert grids.shape == (n, *cfg.seg_grid)
+        assert targets.shape == (n, len(windows), num_classes, *cfg.dml_grid)
         for mask, grid, levels in zip(masks, grids, targets):
             expect = downsample_loops(mask, factor, num_classes)
             assert_same_array(grid, expect)
@@ -329,8 +350,13 @@ class TestWholeStack:
             for got, want in zip(levels, oracle_targets(expect, num_classes, windows, stride)):
                 assert_same_array(got, want)
 
-    def test_no_masks(self):
-        assert prepare_targets([], desk_config()) == ([], [])
+    @pytest.mark.parametrize("n, levels", [(0, 3), (0, 0), (2, 0)])
+    def test_zero_sizes(self, n, levels):
+        # no masks, no levels or both: the same two stacks, one axis empty
+        cfg = desk_config(levels=levels)
+        grids, targets = prepare_targets(random_masks(8, n, 4, (32, 32), 4), cfg)
+        assert grids.shape == (n, 8, 8) and grids.dtype == np.uint8
+        assert targets.shape == (n, levels, 4, 4, 4) and targets.dtype == np.uint8
 
     def test_peak_memory_follows_returned_bytes(self):
         # at 255 classes the targets dwarf the grids; a corpus-sized copy of

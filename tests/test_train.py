@@ -8,11 +8,12 @@ import pytest
 
 import dmlseg.train as train_module
 from dmlseg import tensor
-from dmlseg.checkpoint import load_container
+from dmlseg.checkpoint import load_container, load_gt_cache, save_gt_cache
 from dmlseg.errors import ConfigError
 from dmlseg.model import ModelConfig, build_model
 from dmlseg.synth_data import SceneSpec, write_corpus
-from dmlseg.train import (TrainConfig, evaluate, grad_check, run_experiment, train)
+from dmlseg.train import (TrainConfig, evaluate, grad_check, prepare_targets, run_experiment,
+                          train)
 
 
 def tiny_model_config(**kw):
@@ -134,6 +135,58 @@ def test_failed_loss_csv_write_keeps_previous_file(corpus, tmp_path, monkeypatch
     assert sorted(p.name for p in run.iterdir()) == ["checkpoint.dmls", "loss.csv"]
 
 
+def _run_bytes(result):
+    return result.checkpoint_path.read_bytes(), result.loss_csv_path.read_bytes()
+
+
+def test_every_way_of_handing_targets_gives_the_same_bytes(corpus, tmp_path):
+    mcfg = tiny_model_config()
+    tcfg = TrainConfig(iterations=4, batch_size=4, lr=0.05, seed=3)
+    idxs = corpus.indices("train")
+    masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
+    save_gt_cache(tmp_path / "gt.dmls", mcfg, corpus.content_hash,
+                  *prepare_targets(masks, mcfg))
+    grids, targets = load_gt_cache(tmp_path / "gt.dmls", mcfg, corpus.content_hash)
+    ways = {
+        "none": (None, None),
+        "prepared": prepare_targets([masks[i] for i in idxs], mcfg),
+        "cached": (grids[idxs], targets[idxs]),
+        "per-image": ([grids[i] for i in idxs], [targets[i] for i in idxs]),
+    }
+    runs = {name: _run_bytes(train(corpus, mcfg, tcfg, tmp_path / name, g, t))
+            for name, (g, t) in ways.items()}
+    assert all(run == runs["none"] for run in runs.values())
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda g, t: (g[:3], t[:3]), r"\(3, 8, 8\) and \(3, 3, 4, 4, 4\) do not fit \(8, 8, 8\)"),
+    (lambda g, t: (g, t[:, :, :3]), r"\(8, 3, 3, 4, 4\) do not fit .* \(8, 2, 4, 4, 4\)"),
+    (lambda g, t: (g, t), r"\(8, 3, 4, 4, 4\) do not fit .* \(8, 2, 4, 4, 4\)"),
+], ids=["fewer-images", "fewer-classes", "more-levels"])
+def test_targets_not_fitting_split_or_config_rejected(corpus, cut, message, tmp_path):
+    # a levels-2 model handed levels-3 targets, or targets for only some
+    # of the split's images: nothing is trained and nothing written
+    masks = [corpus.load_mask(i) for i in corpus.indices("train")]
+    grids, targets = cut(*prepare_targets(masks, tiny_model_config()))
+    with pytest.raises(ConfigError, match=message):
+        train(corpus, tiny_model_config(levels=2), TrainConfig(iterations=2, batch_size=4),
+              tmp_path / "run", grids, targets)
+    assert not (tmp_path / "run").exists()
+
+
+def test_experiment_variant_equals_standalone_run(corpus, tmp_path):
+    # the targets made once, for the deepest variant, give variant J their
+    # first J levels
+    mcfg = tiny_model_config()
+    tcfg = TrainConfig(iterations=3, batch_size=4, lr=0.05, seed=8)
+    run_experiment(corpus, mcfg, tcfg, tmp_path / "exp", levels=(0, 2, 3))
+    for j in (0, 2, 3):
+        alone = train(corpus, dataclasses.replace(mcfg, levels=j), tcfg, tmp_path / f"alone{j}")
+        variant = tmp_path / "exp" / f"level{j}"
+        assert (variant / "checkpoint.dmls").read_bytes() == alone.checkpoint_path.read_bytes()
+        assert (variant / "loss.csv").read_bytes() == alone.loss_csv_path.read_bytes()
+
+
 def test_evaluate_does_not_mutate_parameters(corpus, tmp_path):
     tcfg = TrainConfig(iterations=5, batch_size=4, lr=0.05, seed=3)
     result = train(corpus, tiny_model_config(), tcfg, tmp_path / "run")
@@ -174,6 +227,13 @@ def test_grad_check_baseline_levels_zero():
     cfg = tiny_model_config(levels=0, window_sizes=())
     report = grad_check(cfg, 1e-4, seed=1)
     assert report.passed, f"max rel err {report.max_rel_err}"
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_grad_check_rejects_negative_or_nan_tolerance(tolerance, monkeypatch):
+    monkeypatch.setattr(train_module, "build_model", None)  # nothing may be built
+    with pytest.raises(ConfigError, match="tolerance must be non-negative"):
+        grad_check(tiny_model_config(), tolerance)
 
 
 def _fd_config(levels):
