@@ -169,10 +169,17 @@ def load_gt_cache(path: Path, config: ModelConfig, corpus_hash: str
     names = {f"img{i:05d}/{k}": shape for i in range(count) for k, shape in shapes.items()}
     if arrays.keys() != names.keys() or any(arrays[k].shape != v for k, v in names.items()):
         raise DataError(f"{path}: entries are not {count} images of {shapes}")
+    for name, arr in arrays.items():
+        if arr.dtype != np.uint8:
+            raise DataError(f"{path}: entry {name} is {arr.dtype}, not uint8")
     grids = np.array([arrays[n] for n in names if n.endswith("/seg")], np.uint8)
     targets = np.array([arrays[n] for n in names if "/lvl" in n], np.uint8)
     grids = grids.reshape(count, *config.seg_grid)
     targets = targets.reshape(count, config.levels, config.num_classes, *config.dml_grid)
+    if (targets > 1).any():
+        i, j = np.argwhere(targets > 1)[0][:2]
+        raise DataError(f"{path}: entry img{i:05d}/lvl{j} holds a presence value "
+                        f"other than 0 or 1")
     try:
         check_targets(grids, targets, config, count)
     except DataError as exc:

@@ -56,18 +56,30 @@ def multilabel_nll(m: Tensor, y: np.ndarray) -> Tensor:
     return push_node((m,), np.full((1, 1, 1, 1), elem.sum() / denom), backward_fn)
 
 
-def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
-    """Mean cross entropy of fused scores at non-ignore pixels.
-
-    y is (N, h, w) class indices with 255 for ignore.  Log-sum-exp is
-    stabilized with a per-pixel max; gradient is (softmax - onehot)
-    divided by the valid-pixel count, zero at ignore pixels.
-    """
-    n, k, h, w = p.shape
+def seg_picks(y: np.ndarray, shape: tuple[int, int, int, int]
+              ) -> tuple[np.ndarray, int, np.ndarray]:
+    """What `softmax_nll` reads of a target y for (N, K, h, w) scores: the
+    valid-pixel mask, its count, and the flat index of each pixel's target
+    score (class 0 at ignore pixels).  y is (N, h, w) class indices with
+    255 for ignore; any other shape is a ConfigError."""
+    n, k, h, w = shape
     if y.shape != (n, h, w):
         raise ConfigError(f"segmentation target shape {y.shape} != ({n}, {h}, {w})")
     valid = y != IGNORE
-    n_valid = int(valid.sum())
+    cls = np.where(valid, y, 0).astype(np.int64)
+    flat = (np.arange(n)[:, None, None] * k + cls) * (h * w) + np.arange(h * w).reshape(h, w)
+    return valid, int(valid.sum()), flat
+
+
+def softmax_nll(p: Tensor, y: np.ndarray, picks=None) -> Tensor:
+    """Mean cross entropy of fused scores at non-ignore pixels.
+
+    y is (N, h, w) class indices with 255 for ignore; `picks`, when given,
+    is `seg_picks(y, p.shape)` made earlier.  Log-sum-exp is stabilized with
+    a per-pixel max; gradient is (softmax - onehot) divided by the
+    valid-pixel count, zero at ignore pixels.
+    """
+    valid, n_valid, flat = seg_picks(y, p.shape) if picks is None else picks
     if n_valid == 0:
         warnings.warn("softmax_nll: no valid pixels, loss is 0 with zero gradient")
         return scalar(0.0)
@@ -76,9 +88,6 @@ def softmax_nll(p: Tensor, y: np.ndarray) -> Tensor:
     z = pd - mx
     ez = np.exp(z)
     lse = np.log(ez.sum(axis=1, keepdims=True)) + mx  # (N,1,h,w)
-    # flat index of each pixel's target score; ignore pixels point at class 0
-    cls = np.where(valid, y, 0).astype(np.int64)
-    flat = (np.arange(n)[:, None, None] * k + cls) * (h * w) + np.arange(h * w).reshape(h, w)
     picked = pd.reshape(-1)[flat]
     nll = (lse[:, 0] - picked) * valid
 

@@ -9,6 +9,7 @@ class scores over its window, and is upsampled back before fusion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -135,14 +136,25 @@ class ConvLayer:
 
 
 class DmlBlock:
-    __slots__ = ("stage", "proj", "window", "adapt")
+    __slots__ = ("stage", "proj", "window", "adapt", "up")
 
     def __init__(self, stage: list[ConvLayer], proj: ConvLayer, window: int,
-                 adapt: ConvLayer):
+                 adapt: ConvLayer, up: int):
         self.stage = stage
         self.proj = proj
         self.window = window
         self.adapt = adapt
+        self.up = up
+
+    def pool(self, t: Tensor) -> Tensor:
+        """The proj of the last stage's output, max-pooled over the window."""
+        return maxpool2d(self.proj(t), kernel=self.window, stride=1,
+                         padding=(self.window - 1) // 2)
+
+    def scores(self, t: Tensor) -> tuple[Tensor, Tensor]:
+        """The adapted pooled scores m and their upsampling m_up."""
+        m = self.adapt(t)
+        return m, upsample_nearest(m, self.up)
 
 
 @dataclass
@@ -170,6 +182,15 @@ class Model:
         self.seg = seg
         self.seg_proj = seg_proj
         self.dml = dml
+        # (describe name, layer) in the order `forward` runs them: the trunk,
+        # then one path per head on top of it, the seg head's first
+        self.trunk = [("center", lambda x: shift(x, -0.5))]  # [0,1] inputs centred
+        self.trunk += [(f"low.{i}", layer) for i, layer in enumerate(low)]
+        self.heads = [[(f"seg.{i}", layer) for i, layer in enumerate(seg)]
+                      + [("seg.proj", seg_proj)]]
+        for j, block in enumerate(dml, start=1):
+            self.heads.append([(f"dml{j}.stage{i}", layer) for i, layer in enumerate(block.stage)]
+                              + [(f"dml{j}.pool", block.pool), (f"dml{j}", block.scores)])
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -235,56 +256,53 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
         # segmentation output and the pooled scores fade in as they train
         w, b = _conv_param(params, f"{tag}.adapt", k_cls, k_cls, 1, seed, zero=True)
         adapt = ConvLayer(w, b, act=False)
-        dml.append(DmlBlock(stage, proj, config.window_sizes[j], adapt))
+        dml.append(DmlBlock(stage, proj, config.window_sizes[j], adapt,
+                            config.dml_extra_stride))
 
     return Model(config, params, low, seg, seg_proj, dml)
+
+
+def _resume(memo: dict | None, steps: list, given):
+    """The output of `steps`, (memo key, function) pairs applied in order to
+    the input `given()` returns.  With a memo, start from the output of the
+    last step whose key is there, and store every output computed; without
+    one, store nothing, so each intermediate is freed once the next is made."""
+    start = 0
+    if memo is not None:
+        for i in range(len(steps), 0, -1):
+            if steps[i - 1][0] in memo:
+                start = i
+                break
+    x = memo[steps[start - 1][0]] if start else given()
+    for key, fn in steps[start:]:
+        x = fn(x)
+        if memo is not None:
+            memo[key] = x
+    return x
 
 
 def forward(model: Model, image: Tensor, memo: dict | None = None) -> NetworkOutput:
     """Run the network; p is always the elementwise sum of the head outputs.
 
-    `memo`, when given, holds block outputs under the blocks' parameter-name
-    prefixes: `low` (the trunk), `seg` (the seg head) and `dml{j}` (head j's
-    `(m, m_up)` pair, j from 1).  A block whose entry is there is not run;
-    any other block is run and its entry stored.  An entry is valid only for
-    the same image and the same parameters in its block and the trunk.  The
-    fuse always runs left to right, so the result is bit-identical to a
-    forward from an empty dict.  A reused output is not on the current tape,
-    so no gradient reaches its block.
+    `memo`, when given, holds every layer output under its describe name:
+    `center`, `low.i`, `seg.i`, `seg.proj`, `dml{j}.stage{i}`, `dml{j}.pool`
+    (head j's proj, pooled) and `dml{j}` (head j's `(m, m_up)` pair, j from
+    1), inserted in the order they are computed.  Each path (the trunk, then
+    one head) resumes after its last stored layer, and the trunk is run only
+    as far as a head that needs it asks.  An entry is valid only for the same
+    image and the same parameters in it and every layer before it on its
+    path.  The fuse always runs left to right, so the result is bit-identical
+    to a forward from an empty dict.  A reused output is not on the current
+    tape, so no gradient reaches its layers.
     """
     cfg = model.config
     n, c, h, w = image.shape
     if c != 3 or (h, w) != cfg.input_size:
         raise ConfigError(f"image shape {image.shape} does not match configured "
                           f"input (N, 3, {cfg.input_size[0]}, {cfg.input_size[1]})")
-    memo = {} if memo is None else memo
 
-    if "low" not in memo:
-        x = shift(image, -0.5)  # center [0,1] inputs for first-layer conditioning
-        for layer in model.low:
-            x = layer(x)
-        memo["low"] = x
-    o = memo["low"]
-
-    if "seg" not in memo:
-        s = o
-        for layer in model.seg:
-            s = layer(s)
-        memo["seg"] = model.seg_proj(s)
-    s = memo["seg"]
-
-    for j, block in enumerate(model.dml, start=1):
-        if f"dml{j}" in memo:
-            continue
-        t = o
-        for layer in block.stage:
-            t = layer(t)
-        t = maxpool2d(block.proj(t), kernel=block.window, stride=1,
-                      padding=(block.window - 1) // 2)
-        m = block.adapt(t)
-        memo[f"dml{j}"] = m, upsample_nearest(m, cfg.dml_extra_stride)
-
-    heads = [memo[f"dml{j}"] for j in range(1, cfg.levels + 1)]
+    o = functools.cache(lambda: _resume(memo, model.trunk, lambda: image))
+    s, *heads = [_resume(memo, path, o) for path in model.heads]
     m_up = [up for _, up in heads]
     return NetworkOutput(s=s, m=[m for m, _ in heads], m_up=m_up,
                          p=elementwise_sum([s] + m_up))

@@ -29,9 +29,9 @@ never depend on W.
 
 Max pooling is separable: the forward takes a running maximum over the k
 column shifts, then over the k row shifts, and keeps no index.  Backward
-rebuilds the argmax from the padded input, as convolution rebuilds its
-columns, and routes each gradient to the winning element, ties to the
-lowest linear index.
+rebuilds the argmax from the padded input and those maxima, as convolution
+rebuilds its columns, and routes each gradient to the winning element,
+ties to the lowest linear index.
 
 Every op computes its output array and its backward closure and hands
 both to `tensor.push_node`, which alone decides whether the result needs a
@@ -261,8 +261,10 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
 
     The forward is a running np.maximum over the kernel column shifts, then
     over the kernel row shifts, both at `stride`: the max is exact, so no
-    window copy or index array is needed.  Backward copies the windows once
-    and takes their argmax, the first (lowest linear) index on ties.
+    window copy or index array is needed.  Backward finds each window's
+    winner from the same two maxima, by equality, with no window copy:
+    the first (lowest linear) index on ties, as np.argmax would pick for
+    finite inputs.
     """
     n, c, h, w = x.shape
     if kernel < 1:
@@ -286,14 +288,21 @@ def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tenso
         np.maximum(out_data, col_max[:, :, u:u + span_h:stride], out=out_data)
 
     def backward_fn(g: np.ndarray) -> None:
-        view = _window_view(padded, kernel, kernel, stride, 1, h_out, w_out)
-        flat = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, h_out, w_out, kernel * kernel)
-        arg = np.argmax(flat, axis=-1)  # first occurrence = lowest linear index
+        # the winner is the first row u of the window whose column max is
+        # the window max, at the first column v of that row holding it: the
+        # lowest linear index u*k+v, found in 2k compare passes
+        first_v = np.zeros(col_max.shape, np.intp)
+        for v in range(kernel - 1, -1, -1):
+            np.copyto(first_v, v, where=padded[:, :, :, v:v + span_w:stride] == col_max)
+        arg_u = np.zeros(out_data.shape, np.intp)
+        arg_v = np.zeros(out_data.shape, np.intp)
+        for u in range(kernel - 1, -1, -1):
+            hit = col_max[:, :, u:u + span_h:stride] == out_data
+            np.copyto(arg_u, u, where=hit)
+            np.copyto(arg_v, first_v[:, :, u:u + span_h:stride], where=hit)
         gpad = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        oh = np.arange(h_out)[:, None] * stride
-        ow = np.arange(w_out)[None, :] * stride
-        rows = oh[None, None] + arg // kernel
-        cols = ow[None, None] + arg % kernel
+        rows = np.arange(h_out)[:, None] * stride + arg_u
+        cols = np.arange(w_out)[None, :] * stride + arg_v
         nn = np.arange(n)[:, None, None, None]
         cc = np.arange(c)[None, :, None, None]
         flat_idx = ((nn * c + cc) * hp + rows) * wp + cols

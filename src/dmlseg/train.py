@@ -16,7 +16,7 @@ from .checkpoint import save_model_checkpoint, write_atomic
 from .errors import ConfigError, NumericError
 from .gt_gen import IGNORE, check_labels, check_targets, downsample_mask, multilabel_from_grid_mask
 from .kv import KvConfig
-from .losses import LossReport, multilabel_nll, softmax_nll, total_objective
+from .losses import LossReport, multilabel_nll, seg_picks, softmax_nll, total_objective
 from .metrics import EvalReport, accumulate, finalize
 from .model import Model, ModelConfig, build_model, forward, predict_labels
 from .optim import sgd_step
@@ -96,10 +96,11 @@ def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: np.ndarray,
     """Forward pass plus the joint loss: softmax NLL of the fused scores and
     lambda times one presence loss per DML level j, against `y_mul[:, j-1]`.
 
-    `memo` is handed to `forward` as its memo of block outputs, and also
-    holds head j's presence loss (j from 1) under `dml{j}.loss`.  The
-    softmax loss and the total always run, so with entries from the same
-    inputs and parameters the loss is bit-identical to a full recompute.
+    `memo` is handed to `forward` as its memo of layer outputs, and also
+    holds head j's presence loss (j from 1) under `dml{j}.loss` and the seg
+    target's `seg_picks` under `picks`.  The softmax loss and the total
+    always run, so with entries from the same inputs and parameters the loss
+    is bit-identical to a full recompute.
     """
     memo = {} if memo is None else memo
     net = forward(model, x, memo)
@@ -109,7 +110,9 @@ def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: np.ndarray,
         if key not in memo:
             memo[key] = multilabel_nll(m, y_mul[:, j - 1])
         l_mul.append(memo[key])
-    l_seg = softmax_nll(net.p, y_seg)
+    if "picks" not in memo:
+        memo["picks"] = seg_picks(y_seg, net.p.shape)
+    l_seg = softmax_nll(net.p, y_seg, memo["picks"])
     return total_objective(l_seg, l_mul, model.config.lam)
 
 
@@ -185,7 +188,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
         finally:
             write_atomic(csv_path, ("\n".join(rows) + "\n").encode("utf-8"))
 
-        save_model_checkpoint(ckpt_path, model)
+        if not train_cfg.eval_every or train_cfg.iterations % train_cfg.eval_every:
+            save_model_checkpoint(ckpt_path, model)  # else the last periodic save holds it
         return TrainResult(model=model, checkpoint_path=ckpt_path,
                            loss_csv_path=csv_path, reports=reports)
 
@@ -232,15 +236,24 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray, abs_floor=1e-8) -> float
 
 
 def _unaffected(memo: dict, param: str) -> dict:
-    """The entries of an objective memo that do not depend on `param`.
+    """The entries of an objective memo, as one full pass filled it, that do
+    not depend on `param`.
 
-    Memo keys and parameter names share their block prefix (`low`, `seg`,
-    `dml{j}`): a trunk parameter invalidates everything, any other
-    parameter the entries of its own block."""
-    block = param.partition(".")[0]
-    if block == "low":
-        return {}
-    return {k: v for k, v in memo.items() if k.partition(".")[0] != block}
+    The layer holding `param` is stored under its describe name, a head's
+    proj under `dml{j}.pool` and its adapt under `dml{j}`.  Kept: every entry
+    computed before that one on its path; for a layer outside the trunk
+    (`low`), every other head too; and always the entries that depend on no
+    parameter (`center` and `picks`).  Everything else is recomputed."""
+    layer = param.rpartition(".")[0]
+    head = layer.partition(".")[0]
+    stored_as = {f"{head}.proj": f"{head}.pool", f"{head}.adapt": head}
+    entry = stored_as.get(layer, layer) if head.startswith("dml") else layer
+    keys = list(memo)  # in the order the pass computed them
+    moved = keys[keys.index(entry):] if entry in memo else keys
+    if head != "low":
+        moved = [k for k in moved if k.partition(".")[0] == head]
+    drop = set(moved) - {"center", "picks"}
+    return {k: v for k, v in memo.items() if k not in drop}
 
 
 FD_BATCH = 2  # images in grad_check's random batch
@@ -252,10 +265,12 @@ def grad_check(model_cfg: ModelConfig, tolerance: float, *, seed: int = 0) -> Gr
     central finite differences on one small random batch (64-bit).
 
     The recorded pass fills one `objective` memo; each finite-difference
-    evaluation starts from a copy of it without the entries downstream of
-    the perturbed parameter, so only that block, its losses and the fuse are
-    recomputed.  Every evaluation still makes one `forward` call, and every
-    value is bit-identical to a full recompute.
+    evaluation starts from a copy of it without the entries that depend on
+    the perturbed parameter (`_unaffected`), so only its layer, the layers
+    after it on its path, their losses, the softmax loss and the fuse are
+    recomputed, and the seg target's picks are made once.  Every evaluation
+    still makes one `forward` call, and every value is bit-identical to a
+    full recompute.
     """
     if not tolerance >= 0:  # nan included
         raise ConfigError(f"tolerance must be non-negative, got {tolerance}")

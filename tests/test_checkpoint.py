@@ -143,10 +143,10 @@ def test_gt_cache_round_trip(tmp_path):
         load_gt_cache(tmp_path / "gt.dmls", cfg, "otherhash")
 
 
-def _edited_gt_cache(tmp_path, edit):
+def _edited_gt_cache(tmp_path, edit, count=4):
     cfg = tiny_config()
     rng = np.random.default_rng(5)
-    masks = [rng.integers(0, 4, size=(32, 32)).astype(np.uint8) for _ in range(4)]
+    masks = [rng.integers(0, 4, size=(32, 32)).astype(np.uint8) for _ in range(count)]
     save_gt_cache(tmp_path / "gt.dmls", cfg, "h", *prepare_targets(masks, cfg))
     header, arrays = load_container(tmp_path / "gt.dmls")
     edit(arrays)
@@ -191,4 +191,31 @@ def test_gt_cache_label_error_names_path_and_pixel(tmp_path):
     cfg = _edited_gt_cache(tmp_path, put_label)
     with pytest.raises(DataError, match=r"gt\.dmls: mask value 9 at pixel \(5, 6\) "
                                         r"is outside 0\.\.3$"):
+        load_gt_cache(tmp_path / "gt.dmls", cfg, "h")
+
+
+def _as_float32(arrays):
+    for name, arr in arrays.items():
+        arrays[name] = arr.astype(np.float32)
+    arrays["img00000/seg"] += 0.5  # would load as the class below it
+
+
+def _presence_7_float32(arrays):
+    arrays["img00001/lvl2"] = arrays["img00001/lvl2"].astype(np.float32)
+    arrays["img00001/lvl2"][0, 1, 2, 3] = 7.0
+
+
+def _presence_7_uint8(arrays):
+    arrays["img00001/lvl2"][0, 1, 2, 3] = 7
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_as_float32, r"entry img00000/seg is float32, not uint8"),
+    (_presence_7_float32, r"entry img00001/lvl2 is float32, not uint8"),
+    (_presence_7_uint8, r"entry img00001/lvl2 holds a presence value other than 0 or 1"),
+], ids=["all-float32", "presence-float32", "presence-7"])
+def test_gt_cache_entry_not_uint8_or_not_binary_is_data_error(tmp_path, edit, message):
+    # a cache rewritten by another writer must not load as targets it never held
+    cfg = _edited_gt_cache(tmp_path, edit, count=2)
+    with pytest.raises(DataError, match=r"gt\.dmls: " + message + "$"):
         load_gt_cache(tmp_path / "gt.dmls", cfg, "h")

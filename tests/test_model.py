@@ -179,11 +179,9 @@ class TestForward:
         memo = {}
         forward(model, Tensor(np.random.default_rng(6).random((1, 3, 32, 32))), memo)
         for j, (block, w) in enumerate(zip(model.dml, cfg.window_sizes), start=1):
-            t = memo["low"]
-            for layer in block.stage:
-                t = layer(t)
-            pre = block.proj(t).data
+            pre = block.proj(memo[f"dml{j}.stage{len(block.stage) - 1}"]).data
             pooled = memo[f"dml{j}"][0].data
+            assert np.array_equal(pooled, memo[f"dml{j}.pool"].data)
             half = (w - 1) // 2
             _, _, h, wd = pre.shape
             for y in range(h):
@@ -203,13 +201,21 @@ class TestForward:
         x = Tensor(rng.random((2, 3, 32, 32)))
         memo = {}
         full = forward(model, x, memo)
-        assert sorted(memo) == ["dml1", "dml2", "dml3", "low", "seg"]
+        heads = [f"dml{j}{layer}" for j in (1, 2, 3)
+                 for layer in (".stage0", ".stage1", ".pool", "")]
+        assert list(memo) == ["center", "low.0", "low.1", "seg.0", "seg.1", "seg.proj", *heads]
         again = forward(model, x, dict(memo))
         assert np.array_equal(again.p.data, full.p.data)
         assert again.fusion_gap() == 0.0
 
-        for name in ("low.1.weight", "seg.proj.bias", "dml1.adapt.weight",
-                     "dml2.stage0.weight", "dml3.proj.bias"):
+        # the entries each probe recomputes: its layer's and those after it
+        # on its path (for the trunk, every entry but the centring before it)
+        moved = {"low.1.weight": [k for k in memo if k not in ("center", "low.0")],
+                 "seg.proj.bias": ["seg.proj"],
+                 "dml1.adapt.weight": ["dml1"],
+                 "dml2.stage0.weight": ["dml2.stage0", "dml2.stage1", "dml2.pool", "dml2"],
+                 "dml3.proj.bias": ["dml3.pool", "dml3"]}
+        for name, recomputed in moved.items():
             memo = {}
             before = forward(model, x, memo)
             model.params[name].tensor.data.reshape(-1)[0] += 0.25
@@ -221,10 +227,10 @@ class TestForward:
             assert np.array_equal(partial.s.data, fresh.s.data), name
             for a, b in zip(partial.m, fresh.m):
                 assert np.array_equal(a.data, b.data), name
-            block = name.partition(".")[0]
-            reused = [k for k in memo if block != "low" and k != block]
-            assert len(reused) == (0 if block == "low" else 4), name
+            reused = [k for k in memo if k not in recomputed]
+            assert list(kept)[:len(reused)] == reused, name
             assert all(kept[k] is memo[k] for k in reused), name
+            assert list(kept)[len(reused):] == recomputed, name  # stored again, in order
 
     def test_wrong_input_shape_raises(self):
         model = build_model(tiny_config(), seed=0)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -10,7 +11,9 @@ import dmlseg.train as train_module
 from dmlseg import tensor
 from dmlseg.checkpoint import load_container, load_gt_cache, save_gt_cache
 from dmlseg.errors import ConfigError
-from dmlseg.model import ModelConfig, build_model
+import dmlseg.model as model_module
+from dmlseg.model import ConvLayer, ModelConfig, build_model, describe
+from dmlseg.tensor import Tensor
 from dmlseg.synth_data import SceneSpec, write_corpus
 from dmlseg.train import (TrainConfig, evaluate, grad_check, prepare_targets, run_experiment,
                           train)
@@ -37,6 +40,10 @@ def _params_digest(path):
         h.update(name.encode())
         h.update(arrays[name].tobytes())
     return h.hexdigest()
+
+
+def _run_bytes(result):
+    return result.checkpoint_path.read_bytes(), result.loss_csv_path.read_bytes()
 
 
 def test_loss_goes_down(corpus, tmp_path):
@@ -105,6 +112,23 @@ def test_periodic_checkpointing(corpus, tmp_path):
     assert result.checkpoint_path.exists()
 
 
+@pytest.mark.parametrize("iterations, eval_every, saves", [(4, 2, 2), (5, 2, 3), (4, 0, 1)])
+def test_checkpoint_written_once_per_period_and_at_the_end(corpus, tmp_path, monkeypatch,
+                                                           iterations, eval_every, saves):
+    # when the last iteration closes a period its save already holds the
+    # final model, and it is not written again
+    tcfg = TrainConfig(iterations=iterations, batch_size=4, lr=0.05, seed=2)
+    plain = _run_bytes(train(corpus, tiny_model_config(), tcfg, tmp_path / "plain"))
+    paths = []
+    save = train_module.save_model_checkpoint
+    monkeypatch.setattr(train_module, "save_model_checkpoint",
+                        lambda path, model: (paths.append(path), save(path, model)))
+    result = train(corpus, tiny_model_config(), dataclasses.replace(tcfg, eval_every=eval_every),
+                   tmp_path / "run")
+    assert paths == [result.checkpoint_path] * saves
+    assert _run_bytes(result) == plain
+
+
 def test_divergence_aborts_with_iteration_and_keeps_artifacts(corpus, tmp_path):
     from dmlseg.errors import NumericError
     tcfg = TrainConfig(iterations=50, batch_size=4, lr=1e8, seed=1, eval_every=1)
@@ -133,10 +157,6 @@ def test_failed_loss_csv_write_keeps_previous_file(corpus, tmp_path, monkeypatch
         train(corpus, tiny_model_config(), dataclasses.replace(tcfg, iterations=3), run)
     assert (run / "loss.csv").read_bytes() == before
     assert sorted(p.name for p in run.iterdir()) == ["checkpoint.dmls", "loss.csv"]
-
-
-def _run_bytes(result):
-    return result.checkpoint_path.read_bytes(), result.loss_csv_path.read_bytes()
 
 
 def test_every_way_of_handing_targets_gives_the_same_bytes(corpus, tmp_path):
@@ -243,12 +263,16 @@ def _fd_config(levels):
 
 @pytest.mark.parametrize("levels", [3, 0])
 def test_grad_check_memo_is_bit_identical_to_full_recompute(levels, monkeypatch):
-    memoised = [grad_check(_fd_config(levels), 1e-4, seed=s).per_layer for s in range(3)]
+    # seeds 0-2 of the smallest network, and seed 0 of the benchmark's
+    # 32x32 one (CHECK_MODEL)
+    cases = [(_fd_config(levels), s) for s in range(3)]
+    cases.append((tiny_model_config(levels=levels, window_sizes=(5, 3, 1)[:levels]), 0))
+    memoised = [grad_check(cfg, 1e-4, seed=s).per_layer for cfg, s in cases]
     objective = train_module.objective
     monkeypatch.setattr(train_module, "objective",
                         lambda model, x, y_seg, y_mul, cache=None:
                         objective(model, x, y_seg, y_mul))
-    full = [grad_check(_fd_config(levels), 1e-4, seed=s).per_layer for s in range(3)]
+    full = [grad_check(cfg, 1e-4, seed=s).per_layer for cfg, s in cases]
     assert memoised == full
     assert all(v > 0.0 for per_layer in full for v in per_layer.values())
 
@@ -266,6 +290,77 @@ def test_grad_check_calls_forward_once_per_evaluation(monkeypatch):
     grad_check(cfg, 1e-4, seed=0)
     n_params = sum(p.tensor.size for p in build_model(cfg).parameters())
     assert len(calls) == 1 + 2 * n_params
+
+
+def _conv_names(model):
+    """The model's conv layers in describe order: the trunk, then each head."""
+    return [line.split()[0] for line in describe(model).splitlines() if " conv " in line]
+
+
+def _rerun(convs, layer):
+    """The conv layers a probe of `layer` runs: it and those after it on its
+    path, which for a trunk layer is every later layer."""
+    later = convs[convs.index(layer):]
+    if layer.startswith("low."):
+        return later
+    return [name for name in later if name.partition(".")[0] == layer.partition(".")[0]]
+
+
+@pytest.mark.parametrize("name", ["low.0.weight", "low.1.bias", "seg.0.weight", "seg.1.bias",
+                                  "seg.proj.weight", "dml1.stage0.weight", "dml2.stage1.bias",
+                                  "dml3.proj.weight", "dml1.adapt.bias", "dml2.adapt.weight"])
+def test_probe_reruns_exactly_the_layers_it_moves(name, monkeypatch):
+    cfg = tiny_model_config(low_channels=((8, 2), (8, 1), (8, 2)))  # a middle trunk layer
+    model = build_model(cfg, seed=0)
+    rng = np.random.default_rng(12)
+    for p in model.parameters():
+        p.tensor.data += rng.normal(scale=0.1, size=p.tensor.shape).astype(p.tensor.data.dtype)
+    x = Tensor(rng.random((2, 3, 32, 32)))
+    y_seg, y_mul = prepare_targets(rng.integers(0, 4, size=(2, 32, 32)).astype(np.uint8), cfg)
+    memo = {}
+    train_module.objective(model, x, y_seg, y_mul, memo)
+    model.params[name].tensor.data.reshape(-1)[-1] += 0.25
+
+    layers = [*model.low, *model.seg, model.seg_proj,
+              *(layer for b in model.dml for layer in (*b.stage, b.proj, b.adapt))]
+    names = {id(layer): name for layer, name in zip(layers, _conv_names(model))}
+    ran = []
+    call = ConvLayer.__call__
+
+    def spy(layer, t):
+        ran.append(names[id(layer)])
+        return call(layer, t)
+
+    monkeypatch.setattr(ConvLayer, "__call__", spy)
+    total, report = train_module.objective(model, x, y_seg, y_mul,
+                                           train_module._unaffected(memo, name))
+    assert ran == _rerun(_conv_names(model), name.rpartition(".")[0])
+    monkeypatch.undo()
+    fresh, fresh_report = train_module.objective(model, x, y_seg, y_mul)
+    assert np.array_equal(total.data, fresh.data)
+    assert report == fresh_report
+
+
+@pytest.mark.parametrize("levels", [3, 0])
+def test_grad_check_op_counts_follow_the_per_layer_rule(levels, monkeypatch):
+    # one forward per evaluation (two per coordinate, plus the recorded
+    # pass), and a conv for every layer a probe moves: a change that widens
+    # recomputation fails here, not only in a benchmark run
+    cfg = _fd_config(levels)
+    calls = collections.Counter()
+    for owner, op in ((train_module, "forward"), (model_module, "conv2d")):
+        def counted(*args, op=op, orig=getattr(owner, op), **kwargs):
+            calls[op] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, op, counted)
+    grad_check(cfg, 1e-4, seed=0)
+    model = build_model(cfg)
+    convs = _conv_names(model)
+    coords = sum(p.tensor.size for p in model.parameters())
+    assert calls["forward"] == 2 * coords + 1
+    assert calls["conv2d"] == len(convs) + sum(
+        2 * p.tensor.size * len(_rerun(convs, p.name.rpartition(".")[0]))
+        for p in model.parameters())
 
 
 def test_experiment_structure_and_determinism(corpus, tmp_path):
