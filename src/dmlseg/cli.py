@@ -109,9 +109,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_gen_gt(args) -> int:
     corpus = read_corpus(args.corpus)
     cfg = ModelConfig.from_kv(_merged(args, MODEL_DEFAULTS))
-    masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
-    save_gt_cache(args.out, cfg, corpus.content_hash, *prepare_targets(masks, cfg))
-    print(f"cached targets for {len(masks)} masks at {args.out}")
+    save_gt_cache(args.out, cfg, corpus.content_hash, *prepare_targets(corpus.masks, cfg))
+    print(f"cached targets for {len(corpus.masks)} masks at {args.out}")
     return 0
 
 

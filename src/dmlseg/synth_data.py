@@ -239,19 +239,39 @@ def read_pgm(path: Path) -> np.ndarray:
 
 @dataclass
 class Corpus:
+    """A corpus as read once: its manifest's entries and every file's
+    pixels, held as two read-only uint8 stacks that nothing reads again."""
     root: Path
     spec: SceneSpec
     entries: list[tuple[str, str, str]]  # (split, image rel path, mask rel path)
-    content_hash: str = ""
+    content_hash: str
+    images: np.ndarray  # (N, 3, H, W) uint8
+    masks: np.ndarray  # (N, H, W) uint8
+
+    def __post_init__(self):
+        self.images.setflags(write=False)
+        self.masks.setflags(write=False)
 
     def indices(self, split: str) -> list[int]:
         return [i for i, (s, _, _) in enumerate(self.entries) if s == split]
 
     def load_image(self, i: int) -> np.ndarray:
-        return read_ppm(self.root / self.entries[i][1])
+        """(3, H, W) float32 in [0, 1], as `read_ppm` gives of the file."""
+        return self.images[i].astype(np.float32) / 255.0
 
     def load_mask(self, i: int) -> np.ndarray:
-        return read_pgm(self.root / self.entries[i][2])
+        """(H, W) uint8 labels, a copy the caller may write."""
+        return self.masks[i].copy()
+
+
+def _stacks(n: int, size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Empty (n, 3, H, W) image and (n, H, W) mask stacks of uint8; stacks
+    too large to allocate are a ConfigError."""
+    try:
+        return np.empty((n, 3, *size), np.uint8), np.empty((n, *size), np.uint8)
+    except MemoryError as exc:
+        raise ConfigError(f"{n} scenes of size {size[0]}x{size[1]} do not fit "
+                          f"in memory") from exc
 
 
 def _corpus_hash(digests: list[bytes]) -> str:
@@ -275,8 +295,10 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
     pool_images = np.zeros(len(spec.pools), dtype=np.int64)
     colors = class_colors(spec)
     digests = []
+    images, masks = _stacks(n_train + n_val, spec.size)
     for i in range(n_train + n_val):
         image, mask = _render(spec, i, colors)
+        images[i], masks[i] = image, mask
         img_rel = f"images/img_{i:05d}.ppm"
         msk_rel = f"masks/msk_{i:05d}.pgm"
         for rel, data in ((img_rel, _pnm_bytes("P6", image.transpose(1, 2, 0))),
@@ -302,7 +324,8 @@ def write_corpus(spec: SceneSpec, n_train: int, n_val: int, out_dir: Path) -> Co
             f"hash = {content_hash}\n"
             + "".join(f"{split}\t{img}\t{msk}\n" for split, img, msk in entries))
     write_atomic(root / "manifest.txt", text.encode("utf-8"))
-    return Corpus(root=root, spec=spec, entries=entries, content_hash=content_hash)
+    return Corpus(root=root, spec=spec, entries=entries, content_hash=content_hash,
+                  images=images, masks=masks)
 
 
 def read_corpus(dir_path: Path) -> Corpus:
@@ -339,6 +362,7 @@ def read_corpus(dir_path: Path) -> Corpus:
         if (splits["train"], splits["val"]) != (counts.n_train, counts.n_val):
             raise ConfigError(f"n_train = {counts.n_train} and n_val = {counts.n_val}, but "
                               f"the entries hold {splits['train']} and {splits['val']}")
+        images, masks = _stacks(len(entries), spec.size)
     except ConfigError as exc:
         raise DataError(f"{manifest}: {exc}") from exc
     for _, img, msk in entries:
@@ -346,29 +370,39 @@ def read_corpus(dir_path: Path) -> Corpus:
             if not (root / rel).is_file():
                 raise DataError(f"manifest lists missing file {rel}")
     digests = []
-    fault = None  # the first bad mask, reported only once the hash holds
-    for _, img, msk in entries:
-        digests.append(hashlib.sha256((root / img).read_bytes()).digest())
-        data = (root / msk).read_bytes()
-        digests.append(hashlib.sha256(data).digest())
-        fault = fault or _mask_fault(root, msk, data, spec.num_classes)
+    fault = None  # the first bad file, reported only once the hash holds
+    for i, (_, img, msk) in enumerate(entries):
+        for rel, magic, out in ((img, b"P6", images[i]), (msk, b"P5", masks[i])):
+            data = (root / rel).read_bytes()
+            digests.append(hashlib.sha256(data).digest())
+            if fault is None:
+                try:
+                    _decode(root, rel, magic, data, out, spec.num_classes)
+                except DataError as exc:
+                    fault = exc
     got = _corpus_hash(digests)
     if got != kv.get("hash"):
         raise DataError(f"corpus hash mismatch: manifest {kv.get('hash')}, files {got}")
     if fault:
         raise fault
-    return Corpus(root=root, spec=spec, entries=entries, content_hash=got)
+    return Corpus(root=root, spec=spec, entries=entries, content_hash=got,
+                  images=images, masks=masks)
 
 
-def _mask_fault(root: Path, rel: str, data: bytes, num_classes: int) -> DataError | None:
-    """The DataError that reading mask file `rel`, whose bytes are `data`,
-    raises: a malformed file, or a label outside the spec's classes."""
-    try:
-        mask = _parse_pnm(root / rel, b"P5", data)
-    except DataError as exc:
-        return exc
-    try:
-        check_labels(mask, num_classes)
-    except DataError as exc:
-        return DataError(f"{rel}: {exc}")
-    return None
+def _decode(root: Path, rel: str, magic: bytes, data: bytes, out: np.ndarray,
+            num_classes: int) -> None:
+    """Parse corpus file `rel`, whose bytes are `data`, into `out`: an image's
+    (3, H, W) or a mask's (H, W) row of a corpus stack.  A malformed file, a
+    raster that is not the manifest's H x W, or a mask label outside the
+    spec's classes is a DataError naming the file."""
+    raster = _parse_pnm(root / rel, magic, data)
+    if raster.shape[:2] != out.shape[-2:]:
+        (h, w), (size_h, size_w) = raster.shape[:2], out.shape[-2:]
+        raise DataError(f"{root / rel}: raster is {h}x{w}, "
+                        f"but the manifest's size is {size_h}x{size_w}")
+    out[...] = raster.transpose(2, 0, 1) if out.ndim == 3 else raster
+    if out.ndim == 2:
+        try:
+            check_labels(out, num_classes)
+        except DataError as exc:
+            raise DataError(f"{rel}: {exc}") from exc

@@ -70,13 +70,14 @@ class TrainResult:
 
 def prepare_targets(masks, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (N, Hg, Wg) decimated masks and (N, J, K, Hd, Wd) presence targets
-    of N uint8 label masks, both uint8 and made for the whole stack at once;
-    a mask whose shape is not the config's input size is a ConfigError."""
-    for m in masks:
-        if m.shape != config.input_size:
-            raise ConfigError(f"mask shape {m.shape} is not input_size {config.input_size}")
-    grids = downsample_mask(np.asarray(masks, np.uint8).reshape(len(masks), *config.input_size),
-                            config.s_low, config.num_classes)  # unnamed: freed before the dilation
+    of an (N, H, W) stack of uint8 label masks, both uint8 and made for the
+    whole stack at once; masks whose shape is not the config's input size are
+    a ConfigError."""
+    masks = np.asarray(masks, np.uint8)
+    if len(masks) and masks.shape[1:] != config.input_size:
+        raise ConfigError(f"mask shape {masks.shape[1:]} is not input_size {config.input_size}")
+    grids = downsample_mask(masks.reshape(len(masks), *config.input_size),
+                            config.s_low, config.num_classes)
     return grids, multilabel_from_grid_mask(grids, config)
 
 
@@ -143,9 +144,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     rows, default to `prepare_targets` of the split; a misfit is a ConfigError."""
     with _precision(train_cfg.precision):
         idxs = _train_indices(corpus, train_cfg)
-        images = [corpus.load_image(i) for i in idxs]
         if grids is None or targets is None:
-            grids, targets = prepare_targets([corpus.load_mask(i) for i in idxs], model_cfg)
+            grids, targets = prepare_targets(corpus.masks[idxs], model_cfg)
         grids, targets = np.asarray(grids), np.asarray(targets)
         check_targets(grids, targets, model_cfg, len(idxs))
 
@@ -155,14 +155,14 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
         params = model.parameters()
         ckpt_path = out / "checkpoint.dmls"
         csv_path = out / "loss.csv"
-        batches = _batch_iterator(len(images), train_cfg.batch_size, train_cfg.seed)
+        batches = _batch_iterator(len(idxs), train_cfg.batch_size, train_cfg.seed)
         reports: list[LossReport] = []
         rows = [LossReport.csv_header(model_cfg.levels)]
 
         try:
             for it in range(train_cfg.iterations):
                 idx = next(batches)
-                x = Tensor(np.stack([images[i] for i in idx]))
+                x = Tensor(np.stack([corpus.load_image(idxs[i]) for i in idx]))
 
                 try:
                     with record() as g:
@@ -209,7 +209,7 @@ def evaluate(model: Model, corpus: Corpus, split: str = "val",
         net = forward(model, x)
         pred = predict_labels(net.p, full)
         for row, i in enumerate(chunk):
-            accumulate(pred[row], corpus.load_mask(i), report)
+            accumulate(pred[row], corpus.masks[i], report)
     return finalize(report)
 
 
@@ -331,13 +331,12 @@ def run_experiment(corpus: Corpus, base_cfg: ModelConfig, train_cfg: TrainConfig
     takes their first J levels), before anything is written."""
     runs = ExperimentConfig(tuple(levels))
     cfgs = [dataclasses.replace(base_cfg, levels=j) for j in runs.run_levels]
-    masks = [corpus.load_mask(i) for i in _train_indices(corpus, train_cfg)]
-    grids, targets = prepare_targets(masks, max(cfgs, key=lambda cfg: cfg.levels))
+    grids, targets = prepare_targets(corpus.masks[_train_indices(corpus, train_cfg)],
+                                     max(cfgs, key=lambda cfg: cfg.levels))
     val = corpus.indices("val")
     if not val:
         raise ConfigError("corpus has no 'val' images")
-    for i in val:
-        check_labels(corpus.load_mask(i), base_cfg.num_classes)
+    check_labels(corpus.masks[val], base_cfg.num_classes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = base_cfg.to_text() + train_cfg.to_text() + runs.to_text()

@@ -1,5 +1,7 @@
 import argparse
 import dataclasses
+import hashlib
+import re
 import shutil
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from dmlseg.checkpoint import load_container, load_gt_cache, save_container
 from dmlseg.cli import CONFIG_KEYS, build_parser, main
 from dmlseg.kv import parse_kv
 from dmlseg.model import ModelConfig
-from dmlseg.synth_data import read_corpus, read_pgm, read_ppm
+from dmlseg.synth_data import _corpus_hash, read_corpus, read_pgm, read_ppm, write_pgm, write_ppm
 from dmlseg.train import TrainConfig, prepare_targets
 
 MODEL_FLAGS = ["--classes", "4", "--input-size", "32x32",
@@ -227,6 +229,49 @@ def test_corpus_of_another_size_exits_1(command, corpus_dir, tmp_path, capsys):
     assert main([command, "--corpus", str(corpus_dir), "--out", str(out),
                  *model, *extra]) == 1
     assert "mask shape (32, 32) is not input_size (16, 16)" in capsys.readouterr().err
+    assert not out.exists()  # nothing written
+
+
+def _rehash(corpus: Path) -> None:
+    """Restate a corpus manifest's hash for its files as they are now."""
+    manifest = corpus / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    rels = [rel for line in text.splitlines() if "\t" in line for rel in line.split("\t")[1:]]
+    digest = _corpus_hash([hashlib.sha256((corpus / rel).read_bytes()).digest() for rel in rels])
+    manifest.write_text(re.sub(r"(?m)^hash = .*$", f"hash = {digest}", text), encoding="utf-8")
+
+
+# faults that keep a corpus's hash consistent: corpus_dir is 32x32, with
+# train scenes 0-7 and val scenes 8-10
+CORPUS_FAULTS = {
+    "small-val-image": ("images/img_00009.ppm",
+                        lambda path: write_ppm(path, np.zeros((3, 16, 16), np.float32))),
+    "small-train-mask": ("masks/msk_00002.pgm",
+                         lambda path: write_pgm(path, np.zeros((16, 16), np.uint8))),
+    "truncated-val-image": ("images/img_00010.ppm",
+                            lambda path: path.write_bytes(path.read_bytes()[:-1])),
+}
+
+
+@pytest.mark.parametrize("command", ["gen-gt", "train", "eval", "experiment"])
+@pytest.mark.parametrize("fault", sorted(CORPUS_FAULTS))
+def test_hash_consistent_corrupt_corpus_exits_2(fault, command, corpus_dir, run_dir, tmp_path,
+                                                capsys):
+    # every file is decoded and checked as the corpus is read, so each
+    # command fails on the file before it writes anything
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    rel, edit = CORPUS_FAULTS[fault]
+    edit(corpus / rel)
+    _rehash(corpus)
+    out = tmp_path / "out"
+    argv = {"gen-gt": [*MODEL_FLAGS],
+            "train": [*MODEL_FLAGS, "--iterations", "1", "--batch-size", "2"],
+            "eval": ["--checkpoint", str(run_dir / "checkpoint.dmls")],
+            "experiment": [*MODEL_FLAGS, "--iterations", "1", "--batch-size", "2",
+                           "--run-levels", "0"]}[command]
+    assert main([command, "--corpus", str(corpus), "--out", str(out), *argv]) == 2
+    assert f"{corpus / rel}: " in capsys.readouterr().err
     assert not out.exists()  # nothing written
 
 

@@ -144,10 +144,18 @@ class TestCorpus:
         assert loaded.entries == corpus.entries
         assert len(loaded.indices("train")) == 8
         assert len(loaded.indices("val")) == 2
+        assert loaded.images.shape == (10, 3, 48, 48) and loaded.masks.shape == (10, 48, 48)
+        for held in (corpus, loaded):
+            assert held.images.dtype == held.masks.dtype == np.uint8
+            assert not held.images.flags.writeable and not held.masks.flags.writeable
+        assert np.array_equal(loaded.images, corpus.images)
+        assert np.array_equal(loaded.masks, corpus.masks)
         for i in range(10):
             img, mask = generate_scene(s, i)
             assert np.array_equal(loaded.load_image(i), img)
             assert np.array_equal(loaded.load_mask(i), mask)
+            # the caller owns what it loads
+            assert loaded.load_image(i).flags.writeable and loaded.load_mask(i).flags.writeable
 
     def test_regeneration_from_manifest_spec(self, tmp_path):
         write_corpus(spec(), 6, 0, tmp_path / "a")
@@ -164,13 +172,15 @@ class TestCorpus:
         with pytest.raises(DataError, match="msk_00002"):
             read_corpus(tmp_path / "c")
 
-    def test_tampered_file_fails_hash(self, tmp_path):
+    @pytest.mark.parametrize("tamper", [lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]),
+                                        lambda raw: raw[:-1]], ids=["flipped", "truncated"])
+    def test_tampered_file_fails_hash(self, tmp_path, tamper):
+        # a truncated raster also fails to decode, but that is reported
+        # only once the hash holds
         write_corpus(spec(), 4, 0, tmp_path / "d")
         target = tmp_path / "d" / "images" / "img_00001.ppm"
-        raw = bytearray(target.read_bytes())
-        raw[-1] ^= 0xFF
-        target.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="hash"):
+        target.write_bytes(tamper(target.read_bytes()))
+        with pytest.raises(DataError, match="hash mismatch"):
             read_corpus(tmp_path / "d")
 
     def test_mask_label_beyond_classes_named(self, tmp_path):
@@ -184,6 +194,16 @@ class TestCorpus:
                                                .digest() for _, *rels in corpus.entries
                                                for rel in rels])))
         with pytest.raises(DataError, match=r"msk_00001.pgm: mask value 9 at pixel \(3, 5\)"):
+            read_corpus(corpus.root)
+
+    @pytest.mark.parametrize("size", ["24x24", "100000x100000"])
+    def test_manifest_size_not_the_files_is_data_error(self, tmp_path, size):
+        # the files are 48x48; stacks of the stated size are either checked
+        # against the first image or too large to allocate
+        corpus = write_corpus(spec(), 2, 1, tmp_path / "s")
+        manifest = corpus.root / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("size = 48x48", f"size = {size}"))
+        with pytest.raises(DataError, match=size):
             read_corpus(corpus.root)
 
     def test_missing_manifest(self, tmp_path):
@@ -273,7 +293,6 @@ class TestGoldenBytes:
     def test_gt_cache_bytes(self, scene, model, cache_hash, tmp_path):
         corpus = write_corpus(scene, 6, 2, tmp_path / "corpus")
         cfg = ModelConfig(num_classes=scene.num_classes, input_size=scene.size, **model)
-        masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
         save_gt_cache(tmp_path / "gt.dmls", cfg, corpus.content_hash,
-                      *prepare_targets(masks, cfg))
+                      *prepare_targets(corpus.masks, cfg))
         assert hashlib.sha256((tmp_path / "gt.dmls").read_bytes()).hexdigest() == cache_hash

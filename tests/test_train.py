@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import inspect
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ import dmlseg.train as train_module
 from dmlseg import tensor
 from dmlseg.checkpoint import load_container, load_gt_cache, save_gt_cache
 from dmlseg.errors import ConfigError
+from dmlseg.metrics import report_csv
 import dmlseg.model as model_module
 from dmlseg.model import ConvLayer, ModelConfig, build_model, describe
 from dmlseg.tensor import Tensor
-from dmlseg.synth_data import SceneSpec, write_corpus
+from dmlseg.synth_data import SceneSpec, read_corpus, write_corpus, write_pgm, write_ppm
 from dmlseg.train import (TrainConfig, evaluate, grad_check, prepare_targets, run_experiment,
                           train)
 
@@ -163,13 +165,12 @@ def test_every_way_of_handing_targets_gives_the_same_bytes(corpus, tmp_path):
     mcfg = tiny_model_config()
     tcfg = TrainConfig(iterations=4, batch_size=4, lr=0.05, seed=3)
     idxs = corpus.indices("train")
-    masks = [corpus.load_mask(i) for i in range(len(corpus.entries))]
     save_gt_cache(tmp_path / "gt.dmls", mcfg, corpus.content_hash,
-                  *prepare_targets(masks, mcfg))
+                  *prepare_targets(corpus.masks, mcfg))
     grids, targets = load_gt_cache(tmp_path / "gt.dmls", mcfg, corpus.content_hash)
     ways = {
         "none": (None, None),
-        "prepared": prepare_targets([masks[i] for i in idxs], mcfg),
+        "prepared": prepare_targets(corpus.masks[idxs], mcfg),
         "cached": (grids[idxs], targets[idxs]),
         "per-image": ([grids[i] for i in idxs], [targets[i] for i in idxs]),
     }
@@ -186,8 +187,8 @@ def test_every_way_of_handing_targets_gives_the_same_bytes(corpus, tmp_path):
 def test_targets_not_fitting_split_or_config_rejected(corpus, cut, message, tmp_path):
     # a levels-2 model handed levels-3 targets, or targets for only some
     # of the split's images: nothing is trained and nothing written
-    masks = [corpus.load_mask(i) for i in corpus.indices("train")]
-    grids, targets = cut(*prepare_targets(masks, tiny_model_config()))
+    grids, targets = cut(*prepare_targets(corpus.masks[corpus.indices("train")],
+                                          tiny_model_config()))
     with pytest.raises(ConfigError, match=message):
         train(corpus, tiny_model_config(levels=2), TrainConfig(iterations=2, batch_size=4),
               tmp_path / "run", grids, targets)
@@ -232,6 +233,25 @@ def test_evaluate_is_deterministic(corpus, tmp_path):
     assert np.array_equal(a.confusion, b.confusion)
     assert a.mean_iou == b.mean_iou
     assert a.mean_wrong_class == b.mean_wrong_class
+
+
+def test_files_edited_after_reading_change_nothing(tmp_path):
+    # a corpus is read, hashed and decoded once: a train image and a val
+    # mask overwritten afterwards reach neither training nor scoring
+    spec = SceneSpec(seed=21, size=(32, 32), num_classes=4, shapes_min=2, shapes_max=4)
+    write_corpus(spec, 8, 4, tmp_path / "edited")
+    shutil.copytree(tmp_path / "edited", tmp_path / "untouched")
+    edited, untouched = read_corpus(tmp_path / "edited"), read_corpus(tmp_path / "untouched")
+    write_ppm(edited.root / edited.entries[edited.indices("train")[0]][1],
+              np.zeros((3, 32, 32), np.float32))
+    write_pgm(edited.root / edited.entries[edited.indices("val")[0]][2],
+              np.full((32, 32), 3, np.uint8))
+    mcfg, tcfg = tiny_model_config(), TrainConfig(iterations=4, batch_size=4, lr=0.05, seed=3)
+    runs = [train(corpus, mcfg, tcfg, tmp_path / f"run{k}")
+            for k, corpus in enumerate((edited, untouched))]
+    assert _run_bytes(runs[0]) == _run_bytes(runs[1])
+    reports = [report_csv(evaluate(runs[0].model, corpus, "val")) for corpus in (edited, untouched)]
+    assert reports[0] == reports[1]
 
 
 def test_grad_check_passes_and_zero_tolerance_fails():
