@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
@@ -70,9 +71,12 @@ class ModelConfig(KvConfig):
         # from any cell a window of 2G+1 spans a G-cell grid: a wider one adds nothing
         limit = 2 * max(self.dml_grid) + 1
         if any(w > limit for w in self.window_sizes):
+            fit = ",".join(map(str, range(limit, 0, -2)[:self.levels]))
+            hint = (f"the largest windows that fit are {fit}" if limit // 2 + 1 >= self.levels
+                    else f"at most {limit // 2 + 1} levels ({fit}) fit")
             raise ConfigError(f"window sizes must be at most {limit} on a "
                               f"{self.dml_grid[0]}x{self.dml_grid[1]} DML grid, "
-                              f"got {self.window_sizes}")
+                              f"got {self.window_sizes}; {hint}")
 
     @property
     def s_low(self) -> int:
@@ -134,27 +138,32 @@ class ConvLayer:
                      dilation=self.dilation, padding=self.padding)
         return relu(out) if self.act else out
 
+    def describe(self, shape: tuple[int, int, int]) -> tuple[str, tuple[int, int, int]]:
+        """The describe text of this layer on a (C, H, W) input, and its output shape."""
+        cout, cin, k, _ = self.weight.tensor.shape
+        eff = (k - 1) * self.dilation + 1
+        h, w = ((n + 2 * self.padding - eff) // self.stride + 1 for n in shape[1:])
+        return (f"conv {cin}->{cout} k{k} s{self.stride} d{self.dilation} p{self.padding}"
+                f"{' relu' if self.act else ''} -> {cout}x{h}x{w}"), (cout, h, w)
 
-class DmlBlock:
-    __slots__ = ("stage", "proj", "window", "adapt", "up")
 
-    def __init__(self, stage: list[ConvLayer], proj: ConvLayer, window: int,
-                 adapt: ConvLayer, up: int):
-        self.stage = stage
-        self.proj = proj
-        self.window = window
-        self.adapt = adapt
-        self.up = up
+class Op(NamedTuple):
+    """A parameter-free step: `fn` of one tensor, which looks its op up when
+    called (so a patched module global runs), its describe text, and the
+    factor it scales the grid by (None: the describe line shows no shape)."""
+    fn: Callable[[Tensor], Tensor]
+    text: str
+    grow: int | None = 1
 
-    def pool(self, t: Tensor) -> Tensor:
-        """The proj of the last stage's output, max-pooled over the window."""
-        return maxpool2d(self.proj(t), kernel=self.window, stride=1,
-                         padding=(self.window - 1) // 2)
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.fn(x)
 
-    def scores(self, t: Tensor) -> tuple[Tensor, Tensor]:
-        """The adapted pooled scores m and their upsampling m_up."""
-        m = self.adapt(t)
-        return m, upsample_nearest(m, self.up)
+    def describe(self, shape: tuple[int, int, int]) -> tuple[str, tuple[int, int, int]]:
+        c, h, w = shape[0], shape[1] * (self.grow or 1), shape[2] * (self.grow or 1)
+        return self.text + (f" -> {c}x{h}x{w}" if self.grow else ""), (c, h, w)
+
+
+DmlBlock = NamedTuple("DmlBlock", [("stage", list), ("proj", ConvLayer), ("adapt", ConvLayer)])
 
 
 @dataclass
@@ -182,15 +191,20 @@ class Model:
         self.seg = seg
         self.seg_proj = seg_proj
         self.dml = dml
-        # (describe name, layer) in the order `forward` runs them: the trunk,
+        # (describe name, step) in the order `forward` runs them: the trunk,
         # then one path per head on top of it, the seg head's first
-        self.trunk = [("center", lambda x: shift(x, -0.5))]  # [0,1] inputs centred
+        self.trunk = [("center", Op(lambda x: shift(x, -0.5), "-0.5", None))]  # [0,1] centred
         self.trunk += [(f"low.{i}", layer) for i, layer in enumerate(low)]
         self.heads = [[(f"seg.{i}", layer) for i, layer in enumerate(seg)]
                       + [("seg.proj", seg_proj)]]
-        for j, block in enumerate(dml, start=1):
+        s = config.dml_extra_stride
+        up = Op(lambda x: upsample_nearest(x, s), f"x{s}", s)
+        for j, (block, k) in enumerate(zip(dml, config.window_sizes), start=1):
+            pool = Op(lambda x, k=k: maxpool2d(x, kernel=k, stride=1, padding=k // 2),
+                      f"max k{k} s1 p{k // 2}")  # a k-wide window around each cell
             self.heads.append([(f"dml{j}.stage{i}", layer) for i, layer in enumerate(block.stage)]
-                              + [(f"dml{j}.pool", block.pool), (f"dml{j}", block.scores)])
+                              + [(f"dml{j}.proj", block.proj), (f"dml{j}.pool", pool),
+                                 (f"dml{j}.adapt", block.adapt), (f"dml{j}.up", up)])
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -256,17 +270,16 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
         # segmentation output and the pooled scores fade in as they train
         w, b = _conv_param(params, f"{tag}.adapt", k_cls, k_cls, 1, seed, zero=True)
         adapt = ConvLayer(w, b, act=False)
-        dml.append(DmlBlock(stage, proj, config.window_sizes[j], adapt,
-                            config.dml_extra_stride))
+        dml.append(DmlBlock(stage, proj, adapt))
 
     return Model(config, params, low, seg, seg_proj, dml)
 
 
 def _resume(memo: dict | None, steps: list, given):
-    """The output of `steps`, (memo key, function) pairs applied in order to
-    the input `given()` returns.  With a memo, start from the output of the
-    last step whose key is there, and store every output computed; without
-    one, store nothing, so each intermediate is freed once the next is made."""
+    """The output of `steps`, (describe name, step) pairs applied in order
+    to the input `given()` returns.  With a memo, start from the output of
+    the last step named there, and store every output computed; without one,
+    store nothing, so each intermediate is freed once the next is made."""
     start = 0
     if memo is not None:
         for i in range(len(steps), 0, -1):
@@ -284,16 +297,17 @@ def _resume(memo: dict | None, steps: list, given):
 def forward(model: Model, image: Tensor, memo: dict | None = None) -> NetworkOutput:
     """Run the network; p is always the elementwise sum of the head outputs.
 
-    `memo`, when given, holds every layer output under its describe name:
-    `center`, `low.i`, `seg.i`, `seg.proj`, `dml{j}.stage{i}`, `dml{j}.pool`
-    (head j's proj, pooled) and `dml{j}` (head j's `(m, m_up)` pair, j from
-    1), inserted in the order they are computed.  Each path (the trunk, then
-    one head) resumes after its last stored layer, and the trunk is run only
-    as far as a head that needs it asks.  An entry is valid only for the same
-    image and the same parameters in it and every layer before it on its
-    path.  The fuse always runs left to right, so the result is bit-identical
-    to a forward from an empty dict.  A reused output is not on the current
-    tape, so no gradient reaches its layers.
+    `memo`, when given, holds every step's output under its describe name
+    (`center`, `low.i`, `seg.i`, `seg.proj`, and for head j from 1
+    `dml{j}.stage{i}`, `.proj`, `.pool`, `.adapt` and `.up`), inserted as
+    computed: in describe order from an empty dict.  Each path (the trunk,
+    then one head) resumes after its last stored step, and the trunk is run
+    only as far as a head that needs it asks.  An entry is valid only for
+    the same image and the same parameters in it and every step before it
+    on its path.  The fuse always runs left to right, so the result is
+    bit-identical to a forward from an empty dict.  A reused output is not
+    on the current tape, so no gradient reaches its layers.  A head's `m`
+    is its output before `up`.
     """
     cfg = model.config
     n, c, h, w = image.shape
@@ -302,10 +316,12 @@ def forward(model: Model, image: Tensor, memo: dict | None = None) -> NetworkOut
                           f"input (N, 3, {cfg.input_size[0]}, {cfg.input_size[1]})")
 
     o = functools.cache(lambda: _resume(memo, model.trunk, lambda: image))
-    s, *heads = [_resume(memo, path, o) for path in model.heads]
-    m_up = [up for _, up in heads]
-    return NetworkOutput(s=s, m=[m for m, _ in heads], m_up=m_up,
-                         p=elementwise_sum([s] + m_up))
+    s = _resume(memo, model.heads[0], o)
+    m, m_up = [], []
+    for path in model.heads[1:]:
+        m.append(_resume(memo, path[:-1], o))
+        m_up.append(_resume(memo, path[-1:], lambda: m[-1]))
+    return NetworkOutput(s=s, m=m, m_up=m_up, p=elementwise_sum([s] + m_up))
 
 
 def predict_labels(p, full_size: tuple[int, int]) -> np.ndarray:
@@ -322,35 +338,18 @@ def predict_labels(p, full_size: tuple[int, int]) -> np.ndarray:
 
 def describe(model: Model) -> str:
     """Plain-text layer inventory with shapes and strides, for golden-file
-    comparison."""
-    cfg = model.config
-    h, w = cfg.input_size
-    lines = [f"input 3x{h}x{w}", "center -0.5"]
+    comparison: the input, one line per step of the trunk and of each head
+    path, and the fuse."""
+    c, h, w = shape = (3, *model.config.input_size)
+    lines = [f"input {c}x{h}x{w}"]
 
-    def emit(name: str, layer: ConvLayer, h: int, w: int) -> tuple[int, int]:
-        cout, cin, k, _ = layer.weight.tensor.shape
-        eff = (k - 1) * layer.dilation + 1
-        h = (h + 2 * layer.padding - eff) // layer.stride + 1
-        w = (w + 2 * layer.padding - eff) // layer.stride + 1
-        lines.append(f"{name} conv {cin}->{cout} k{k} s{layer.stride} d{layer.dilation} "
-                     f"p{layer.padding}{' relu' if layer.act else ''} -> {cout}x{h}x{w}")
-        return h, w
+    def walk(steps, shape):
+        for name, step in steps:
+            text, shape = step.describe(shape)
+            lines.append(f"{name} {text}")
+        return shape
 
-    for i, layer in enumerate(model.low):
-        h, w = emit(f"low.{i}", layer, h, w)
-    sh, sw = h, w
-    for i, layer in enumerate(model.seg):
-        sh, sw = emit(f"seg.{i}", layer, sh, sw)
-    sh, sw = emit("seg.proj", model.seg_proj, sh, sw)
-    for j, block in enumerate(model.dml):
-        bh, bw = h, w
-        for i, layer in enumerate(block.stage):
-            bh, bw = emit(f"dml{j + 1}.stage{i}", layer, bh, bw)
-        bh, bw = emit(f"dml{j + 1}.proj", block.proj, bh, bw)
-        lines.append(f"dml{j + 1}.pool max k{block.window} s1 p{(block.window - 1) // 2} "
-                     f"-> {cfg.num_classes}x{bh}x{bw}")
-        bh, bw = emit(f"dml{j + 1}.adapt", block.adapt, bh, bw)
-        lines.append(f"dml{j + 1}.up x{cfg.dml_extra_stride} "
-                     f"-> {cfg.num_classes}x{bh * cfg.dml_extra_stride}x{bw * cfg.dml_extra_stride}")
-    lines.append(f"fuse sum -> {cfg.num_classes}x{sh}x{sw}")
+    trunk = walk(model.trunk, shape)
+    (c, h, w), *_ = [walk(path, trunk) for path in model.heads]  # the seg head's
+    lines.append(f"fuse sum -> {c}x{h}x{w}")
     return "\n".join(lines) + "\n"

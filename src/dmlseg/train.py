@@ -239,17 +239,15 @@ def _unaffected(memo: dict, param: str) -> dict:
     """The entries of an objective memo, as one full pass filled it, that do
     not depend on `param`.
 
-    The layer holding `param` is stored under its describe name, a head's
-    proj under `dml{j}.pool` and its adapt under `dml{j}`.  Kept: every entry
-    computed before that one on its path; for a layer outside the trunk
-    (`low`), every other head too; and always the entries that depend on no
-    parameter (`center` and `picks`).  Everything else is recomputed."""
+    The layer holding `param` is stored under its describe name.  Kept:
+    every entry computed before that one on its path; for a layer outside
+    the trunk (`low`), every other head too; and always the entries that
+    depend on no parameter (`center` and `picks`).  Everything else is
+    recomputed."""
     layer = param.rpartition(".")[0]
     head = layer.partition(".")[0]
-    stored_as = {f"{head}.proj": f"{head}.pool", f"{head}.adapt": head}
-    entry = stored_as.get(layer, layer) if head.startswith("dml") else layer
     keys = list(memo)  # in the order the pass computed them
-    moved = keys[keys.index(entry):] if entry in memo else keys
+    moved = keys[keys.index(layer):] if layer in memo else keys
     if head != "low":
         moved = [k for k in moved if k.partition(".")[0] == head]
     drop = set(moved) - {"center", "picks"}

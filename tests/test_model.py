@@ -6,7 +6,7 @@ import pytest
 from dmlseg.errors import ConfigError
 from dmlseg.model import (ModelConfig, build_model, describe, forward, predict_labels)
 from dmlseg.tensor import Tensor
-from dmlseg.train import _unaffected
+from dmlseg.train import _unaffected, objective, prepare_targets
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,6 +67,20 @@ class TestModelConfig:
         for windows in ((11, 3, 1), (9999, 5, 3)):
             with pytest.raises(ConfigError, match="at most 9 on a 4x4 DML grid"):
                 tiny_config(window_sizes=windows)
+
+    def test_window_bound_error_names_the_largest_windows_that_fit(self):
+        desk = dict(num_classes=8, low_channels=((24, 2), (48, 2)), seg_channels=(64, 64))
+        with pytest.raises(ConfigError, match=r"at most 9 on a 4x4 DML grid, got \(11, 5, 3\); "
+                                              r"the largest windows that fit are 9,7,5$"):
+            ModelConfig(input_size=(32, 32), **desk)
+        assert ModelConfig(input_size=(32, 32), window_sizes=(9, 7, 5), **desk)
+
+    def test_window_bound_error_names_the_most_levels_that_fit(self):
+        desk = dict(num_classes=8, low_channels=((24, 2), (48, 2)), seg_channels=(64, 64))
+        with pytest.raises(ConfigError, match=r"at most 3 on a 1x1 DML grid, got \(11, 5, 3\); "
+                                              r"at most 2 levels \(3,1\) fit$"):
+            ModelConfig(input_size=(8, 8), **desk)
+        assert ModelConfig(input_size=(8, 8), levels=2, window_sizes=(3, 1), **desk)
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -179,8 +193,8 @@ class TestForward:
         memo = {}
         forward(model, Tensor(np.random.default_rng(6).random((1, 3, 32, 32))), memo)
         for j, (block, w) in enumerate(zip(model.dml, cfg.window_sizes), start=1):
-            pre = block.proj(memo[f"dml{j}.stage{len(block.stage) - 1}"]).data
-            pooled = memo[f"dml{j}"][0].data
+            pre = memo[f"dml{j}.proj"].data
+            pooled = memo[f"dml{j}.adapt"].data
             assert np.array_equal(pooled, memo[f"dml{j}.pool"].data)
             half = (w - 1) // 2
             _, _, h, wd = pre.shape
@@ -201,8 +215,8 @@ class TestForward:
         x = Tensor(rng.random((2, 3, 32, 32)))
         memo = {}
         full = forward(model, x, memo)
-        heads = [f"dml{j}{layer}" for j in (1, 2, 3)
-                 for layer in (".stage0", ".stage1", ".pool", "")]
+        heads = [f"dml{j}.{layer}" for j in (1, 2, 3)
+                 for layer in ("stage0", "stage1", "proj", "pool", "adapt", "up")]
         assert list(memo) == ["center", "low.0", "low.1", "seg.0", "seg.1", "seg.proj", *heads]
         again = forward(model, x, dict(memo))
         assert np.array_equal(again.p.data, full.p.data)
@@ -212,9 +226,10 @@ class TestForward:
         # on its path (for the trunk, every entry but the centring before it)
         moved = {"low.1.weight": [k for k in memo if k not in ("center", "low.0")],
                  "seg.proj.bias": ["seg.proj"],
-                 "dml1.adapt.weight": ["dml1"],
-                 "dml2.stage0.weight": ["dml2.stage0", "dml2.stage1", "dml2.pool", "dml2"],
-                 "dml3.proj.bias": ["dml3.pool", "dml3"]}
+                 "dml1.adapt.weight": ["dml1.adapt", "dml1.up"],
+                 "dml2.stage0.weight": ["dml2.stage0", "dml2.stage1", "dml2.proj",
+                                        "dml2.pool", "dml2.adapt", "dml2.up"],
+                 "dml3.proj.bias": ["dml3.proj", "dml3.pool", "dml3.adapt", "dml3.up"]}
         for name, recomputed in moved.items():
             memo = {}
             before = forward(model, x, memo)
@@ -231,6 +246,23 @@ class TestForward:
             assert list(kept)[:len(reused)] == reused, name
             assert all(kept[k] is memo[k] for k in reused), name
             assert list(kept)[len(reused):] == recomputed, name  # stored again, in order
+
+    @pytest.mark.parametrize("kw", [{}, {"levels": 0, "window_sizes": ()},
+                                    {"dml_extra_stride": 1}])
+    def test_memo_keys_are_describe_lines(self, kw):
+        # one list of named steps: a memo'd objective stores each describe
+        # line's output under its name, in describe order and of its shape
+        cfg = tiny_config(**kw)
+        model = build_model(cfg, seed=0)
+        rng = np.random.default_rng(10)
+        y_seg, y_mul = prepare_targets(rng.integers(0, 4, size=(2, 32, 32)).astype(np.uint8), cfg)
+        memo = {}
+        objective(model, Tensor(rng.random((2, 3, 32, 32))), y_seg, y_mul, memo)
+        lines = [line.split() for line in describe(model).splitlines()[1:-1]]
+        layers = [k for k in memo if k != "picks" and not k.endswith(".loss")]
+        assert layers == [line[0] for line in lines]
+        for name, *_, arrow, shape in (line for line in lines if "->" in line):
+            assert "x".join(map(str, memo[name].shape[1:])) == shape, name
 
     def test_wrong_input_shape_raises(self):
         model = build_model(tiny_config(), seed=0)
@@ -268,3 +300,48 @@ def test_architecture_echo_golden():
     model = build_model(tiny_config(), seed=1)
     expect = (DATA / "arch_echo.txt").read_text()
     assert describe(model) == expect
+
+
+# accepted configs, as `key = value` texts, whose describe bytes are pinned
+# in describe_sweep.txt: levels 0-3, extra strides 1, 2 and 4, 1-3 low
+# layers, 1-3 head stages and a non-square input
+DESCRIBE_SWEEP = [
+    "num_classes = 4\ninput_size = 32x32\nlow_channels = 8/2,8/2\nseg_channels = 8,8\n"
+    "levels = 0\n",
+    "num_classes = 4\ninput_size = 32x32\nlow_channels = 8/2,8/2\nseg_channels = 8,8\n"
+    "dml_extra_stride = 1\nlevels = 1\nwindow_sizes = 9\n",
+    "num_classes = 5\ninput_size = 64x64\nlow_channels = 8/2,8/2\nseg_channels = 8,12\n"
+    "dml_extra_stride = 4\nlevels = 2\nwindow_sizes = 9,5\n",
+    "num_classes = 3\ninput_size = 16x16\nlow_channels = 4/2\nseg_channels = 4,4\n"
+    "window_sizes = 5,3,1\n",
+    "num_classes = 4\ninput_size = 64x64\nlow_channels = 8/2,6/1,8/2\nseg_channels = 8,8\n"
+    "window_sizes = 5,3,1\n",
+    "num_classes = 4\ninput_size = 32x32\nlow_channels = 8/2,8/2\nseg_channels = 6\n"
+    "window_sizes = 5,3,1\n",
+    "num_classes = 4\ninput_size = 32x32\nlow_channels = 8/2,8/2\nseg_channels = 8,12,16\n"
+    "dml_extra_stride = 4\nwindow_sizes = 5,3,1\n",
+    "num_classes = 4\ninput_size = 32x64\nlow_channels = 8/2,8/2\nseg_channels = 8,8\n"
+    "window_sizes = 7,3,1\n",
+    "num_classes = 6\ninput_size = 24x24\nlow_channels = 6/2\nseg_channels = 6\n"
+    "dml_extra_stride = 1\nwindow_sizes = 7,3,1\n",
+    "num_classes = 8\ninput_size = 96x96\nlow_channels = 24/2,48/2\nseg_channels = 64,64\n",
+    "num_classes = 21\ninput_size = 48x48\nlow_channels = 8/2,8/2\nseg_channels = 8,8\n"
+    "levels = 2\nwindow_sizes = 5,3\n",
+    "num_classes = 4\ninput_size = 64x32\nlow_channels = 4/2,4/2\nseg_channels = 4,4,4\n"
+    "dml_extra_stride = 4\nlevels = 1\nwindow_sizes = 3\n",
+    "num_classes = 4\ninput_size = 16x16\nlow_channels = 8/1,8/2\nseg_channels = 8,8\n"
+    "window_sizes = 5,3,1\n",
+]
+
+
+def describe_sweep() -> str:
+    """Each sweep config's text, `#`-prefixed, then its describe lines."""
+    blocks = []
+    for text in DESCRIBE_SWEEP:
+        model = build_model(ModelConfig.from_text(text), seed=0)
+        blocks.append("".join(f"# {line}\n" for line in text.splitlines()) + describe(model))
+    return "\n".join(blocks)
+
+
+def test_describe_sweep_golden():
+    assert describe_sweep() == (DATA / "describe_sweep.txt").read_text()
