@@ -44,30 +44,30 @@ def multilabel_nll(m: Tensor, y: np.ndarray) -> Tensor:
         raise ConfigError(f"multilabel target shape {y.shape} != logits {m.shape}")
     md = m.data
     yd = y.astype(md.dtype)
-    n, k, h, w = m.shape
-    denom = n * h * w * k
-    elem = np.maximum(md, 0) - md * yd + np.log1p(np.exp(-np.abs(md)))
+    denom = md.size
+    e = np.exp(-np.abs(md))
+    elem = np.maximum(md, 0) - md * yd + np.log1p(e)
 
     def backward_fn(g: np.ndarray) -> None:
-        e = np.exp(-np.abs(md))
         sig = np.where(md >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         m.accumulate_grad((sig - yd) * (float(g.reshape(())) / denom))
 
-    return push_node((m,), np.full((1, 1, 1, 1), elem.sum() / denom), backward_fn)
+    return push_node((m,), np.array(elem.sum() / denom, ndmin=4), backward_fn)
 
 
 def seg_picks(y: np.ndarray, shape: tuple[int, int, int, int]
               ) -> tuple[np.ndarray, int, np.ndarray]:
     """What `softmax_nll` reads of a target y for (N, K, h, w) scores: the
-    valid-pixel mask, its count, and the flat index of each pixel's target
-    score (class 0 at ignore pixels).  y is (N, h, w) class indices with
-    255 for ignore; any other shape is a ConfigError."""
+    (N, 1, h, w) valid-pixel mask, its count, and the flat index of each
+    pixel's target score (class 0 at ignore pixels), also (N, 1, h, w).  y
+    is (N, h, w) class indices with 255 for ignore; any other shape is a
+    ConfigError."""
     n, k, h, w = shape
     if y.shape != (n, h, w):
         raise ConfigError(f"segmentation target shape {y.shape} != ({n}, {h}, {w})")
-    valid = y != IGNORE
-    cls = np.where(valid, y, 0).astype(np.int64)
-    flat = (np.arange(n)[:, None, None] * k + cls) * (h * w) + np.arange(h * w).reshape(h, w)
+    valid = (y != IGNORE).reshape(n, 1, h, w)
+    cls = np.where(valid, y.reshape(n, 1, h, w), 0).astype(np.int64)
+    flat = (np.arange(n).reshape(n, 1, 1, 1) * k + cls) * (h * w) + np.arange(h * w).reshape(h, w)
     return valid, int(valid.sum()), flat
 
 
@@ -85,26 +85,27 @@ def softmax_nll(p: Tensor, y: np.ndarray, picks=None) -> Tensor:
         return scalar(0.0)
     pd = p.data
     mx = pd.max(axis=1, keepdims=True)
-    z = pd - mx
-    ez = np.exp(z)
-    lse = np.log(ez.sum(axis=1, keepdims=True)) + mx  # (N,1,h,w)
-    picked = pd.reshape(-1)[flat]
-    nll = (lse[:, 0] - picked) * valid
+    ez = pd - mx
+    np.exp(ez, out=ez)
+    sum_ez = ez.sum(axis=1, keepdims=True)  # (N,1,h,w)
+    nll = np.log(sum_ez)
+    nll += mx  # log-sum-exp
+    nll -= pd.take(flat)
+    nll *= valid
 
     def backward_fn(g: np.ndarray) -> None:
-        gp = ez / ez.sum(axis=1, keepdims=True)  # softmax, minus one-hot below
+        gp = ez / sum_ez  # softmax, minus one-hot below
         gp.reshape(-1)[flat] -= 1.0
-        gp *= valid[:, None, :, :]
+        gp *= valid
         p.accumulate_grad(gp * (float(g.reshape(())) / n_valid))
 
-    return push_node((p,), np.full((1, 1, 1, 1), nll.sum() / n_valid), backward_fn)
+    return push_node((p,), np.array(nll.sum() / n_valid, ndmin=4), backward_fn)
 
 
 def total_objective(l_seg: Tensor, l_mul: Sequence[Tensor],
                     lam: float) -> tuple[Tensor, LossReport]:
     """total = l_seg + lam * sum(l_mul), kept on the tape for backward."""
-    total = (elementwise_sum([l_seg, scale(elementwise_sum(list(l_mul)), lam)])
-             if l_mul else l_seg)
+    total = elementwise_sum([l_seg, scale(elementwise_sum(l_mul), lam)]) if l_mul else l_seg
     report = LossReport(
         l_seg=l_seg.item(),
         l_mul=[t.item() for t in l_mul],

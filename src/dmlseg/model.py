@@ -9,7 +9,6 @@ class scores over its window, and is upsampled back before fusion.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -275,23 +274,24 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     return Model(config, params, low, seg, seg_proj, dml)
 
 
-def _resume(memo: dict | None, steps: list, given):
-    """The output of `steps`, (describe name, step) pairs applied in order
-    to the input `given()` returns.  With a memo, start from the output of
-    the last step named there, and store every output computed; without one,
-    store nothing, so each intermediate is freed once the next is made."""
-    start = 0
-    if memo is not None:
-        for i in range(len(steps), 0, -1):
-            if steps[i - 1][0] in memo:
-                start = i
-                break
-    x = memo[steps[start - 1][0]] if start else given()
-    for key, fn in steps[start:]:
-        x = fn(x)
+def _resume(memo: dict | None, steps: list, given) -> tuple[Tensor, Tensor]:
+    """The input and the output of the last of `steps`, (describe name,
+    step) pairs applied in order to the input `given()` returns.  With a
+    memo, start from the output of the last step named there (the steps
+    stored are a prefix of `steps`, as `forward` fills a memo), and store
+    every output computed; without one, store nothing, so each intermediate
+    is freed once the next is made."""
+    i = 0 if memo is None else len(steps)
+    while i and steps[i - 1][0] not in memo:
+        i -= 1
+    x = memo[steps[i - 1][0]] if i else given()
+    if i == len(steps):  # nothing to run
+        return (memo[steps[i - 2][0]] if i > 1 else given()), x
+    for key, step in steps[i:]:
+        prev, x = x, step(x)
         if memo is not None:
             memo[key] = x
-    return x
+    return prev, x
 
 
 def forward(model: Model, image: Tensor, memo: dict | None = None) -> NetworkOutput:
@@ -310,17 +310,23 @@ def forward(model: Model, image: Tensor, memo: dict | None = None) -> NetworkOut
     is its output before `up`.
     """
     cfg = model.config
-    n, c, h, w = image.shape
+    n, c, h, w = image.data.shape
     if c != 3 or (h, w) != cfg.input_size:
         raise ConfigError(f"image shape {image.shape} does not match configured "
                           f"input (N, 3, {cfg.input_size[0]}, {cfg.input_size[1]})")
+    trunk = []  # its output, once the first head that needs it has asked
 
-    o = functools.cache(lambda: _resume(memo, model.trunk, lambda: image))
-    s = _resume(memo, model.heads[0], o)
+    def o() -> Tensor:
+        if not trunk:
+            trunk.append(_resume(memo, model.trunk, lambda: image)[1])
+        return trunk[0]
+
+    s = _resume(memo, model.heads[0], o)[1]
     m, m_up = [], []
     for path in model.heads[1:]:
-        m.append(_resume(memo, path[:-1], o))
-        m_up.append(_resume(memo, path[-1:], lambda: m[-1]))
+        before_up, out = _resume(memo, path, o)
+        m.append(before_up)
+        m_up.append(out)
     return NetworkOutput(s=s, m=m, m_up=m_up, p=elementwise_sum([s] + m_up))
 
 

@@ -12,20 +12,21 @@ gradient takes one of two paths, chosen by the layer's stride:
   kh*kw strided adds scatter back onto the padded input.
 
 Each of those three passes (forward GEMM, weight-gradient GEMM, input
-gradient) is written once over an image range [a, b), and `_over_images`
-decides how a batch is covered.  A pass runs inline, as [0, N) on the
-caller, when N is 1, when it costs fewer than INLINE_MACS (2^20)
-multiply-adds per image, or when there is one lane.  Otherwise W lanes,
-the caller and W-1 pool threads, each take the next image until none is
-left.  W is fixed once per process: the cores this process may run on
-(its affinity) divided by the BLAS threads each GEMM may use
-(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else MKL_NUM_THREADS; unset
-means every core), at least 1.  So `taskset -c 0` or a BLAS thread count
-picks the cores, and with default settings every pass is inline.  Every
-image's GEMM, copy and scatter is the same whichever lane runs it, and
-the pads, the bias gradient, the sum of the per-image weight gradients and
-the finiteness check stay on the caller, so output and gradient bytes
-never depend on W.
+gradient) is a module-level function of one shared operand and of arrays
+that hold the images along their first axis, and `_over_images` decides
+how a batch is covered.  A pass runs inline, as one call on the whole
+arrays on the caller, when N is 1, when it costs fewer than INLINE_MACS
+(2^20) multiply-adds per image, or when there is one lane.  Otherwise W
+lanes, the caller and W-1 pool threads, each take the next image, a
+one-image slice of every array, until none is left.  W is fixed once per
+process: the cores this process may run on (its affinity) divided by the
+BLAS threads each GEMM may use (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS, else MKL_NUM_THREADS; unset means every core), at least
+1.  So `taskset -c 0` or a BLAS thread count picks the cores, and with
+default settings every pass is inline.  Every image's GEMM, copy and
+scatter is the same whichever lane runs it, and the pads, the bias
+gradient, the sum of the per-image weight gradients and the finiteness
+check stay on the caller, so output and gradient bytes never depend on W.
 
 Max pooling is separable: the forward takes a running maximum over the k
 column shifts, then over the k row shifts, and keeps no index.  Backward
@@ -33,18 +34,24 @@ rebuilds the argmax from the padded input and those maxima, as convolution
 rebuilds its columns, and routes each gradient to the winning element,
 ties to the lowest linear index.
 
-Every op computes its output array and its backward closure and hands
+Every op computes its output array and its backward function and hands
 both to `tensor.push_node`, which alone decides whether the result needs a
-gradient (iff an input does) and whether the closure is taped.
+gradient (iff an input does) and whether the function is taped.
 
-Pads are one fill plus one slice copy, and window views come from the
-ndarray constructor, which checks the strides against the buffer: on the
-small inputs of a gradient check, np.pad and as_strided cost more in
-Python than the op's arithmetic.
+A gradient check runs tens of thousands of convolutions on a batch of two
+images of at most 32x32, where a numpy call's fixed cost is as large as
+its arithmetic, so a conv2d call makes few calls besides the ones that do
+the work.  Shapes are read off the arrays.  A zero pad is np.zeros plus one
+slice copy (a crop is a view first), and window views come from the
+ndarray constructor, which checks the strides against the buffer: np.pad
+and as_strided cost more in Python.  An inline pass is one call of its
+pass function, with no closure and no slice, and the backward is a partial
+of `_conv2d_backward`, built without a closure cell for every local.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -56,14 +63,17 @@ from .errors import ConfigError, NumericError
 from .tensor import Tensor, push_node
 
 
-def _pad(a: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
+def _pad(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
     """Copy of a (N, C, H, W) array with ph rows and pw columns of `fill`
     added on each side, or removed from each side where negative."""
+    if ph < 0 or pw < 0:  # crop first, as a view
+        ch, cw = max(-ph, 0), max(-pw, 0)
+        a = a[:, :, ch:a.shape[2] - ch, cw:a.shape[3] - cw]
+        ph, pw = max(ph, 0), max(pw, 0)
     n, c, h, w = a.shape
-    out = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, dtype=a.dtype)
-    ih, iw = max(-ph, 0), max(-pw, 0)
-    oh, ow = max(ph, 0), max(pw, 0)
-    out[:, :, oh:oh + h - 2 * ih, ow:ow + w - 2 * iw] = a[:, :, ih:h - ih, iw:w - iw]
+    shape = (n, c, h + 2 * ph, w + 2 * pw)
+    out = np.zeros(shape, a.dtype) if fill == 0 else np.full(shape, fill, a.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = a
     return out
 
 
@@ -114,29 +124,35 @@ def _lane_count() -> int:
     return max(cores // blas, 1)
 
 
-def _over_images(n: int, macs: int,
-                 fn: Callable[[int, int], np.ndarray | None]) -> np.ndarray | None:
-    """`fn(a, b)` over images [a, b) covering [0, n): what fn(0, n) returns.
+def _over_images(macs: int, fn: Callable[..., np.ndarray | None], shared,
+                 *batched: np.ndarray) -> np.ndarray | None:
+    """What `fn(shared, *batched)` returns, each array of `batched` holding
+    the same n images along its first axis: inline, as that one call on the
+    caller, when n is 1, a pass costs fewer than INLINE_MACS per image, or
+    there is one lane; otherwise in min(W, n) lanes (`_in_lanes`)."""
+    global _lanes
+    n = len(batched[0])
+    if n > 1 and macs >= INLINE_MACS:
+        if _lanes is None:
+            _lanes = _lane_count()
+        if _lanes > 1:
+            return _in_lanes(min(_lanes, n), fn, shared, batched)
+    return fn(shared, *batched)
 
-    Inline, as fn(0, n) on the caller, when n is 1, a pass costs fewer
-    than INLINE_MACS per image, or there is one lane.  Otherwise W lanes,
-    the caller and the pool's threads, each claim the next image until none
-    is left, so a lane that is slow to start or descheduled holds back at
-    most the one image it is working on; fn's per-image results are joined
-    along the batch axis (None if fn returns None).  Every lane has
-    finished when this returns or raises, and a lane's exception reaches
-    the caller.
-    """
-    global _lanes, _pool
-    if n == 1 or macs < INLINE_MACS:
-        return fn(0, n)
-    if _lanes is None:
-        _lanes = _lane_count()
-    lanes = min(_lanes, n)
-    if lanes == 1:
-        return fn(0, n)
+
+def _in_lanes(lanes: int, fn: Callable[..., np.ndarray | None], shared,
+              batched: tuple[np.ndarray, ...]) -> np.ndarray | None:
+    """`_over_images` in `lanes` lanes, the caller and the pool's threads:
+    each claims the next image i and calls fn(shared, *(a[i:i + 1] for a in
+    batched)) until none is left, so a lane that is slow to start or
+    descheduled holds back at most the one image it is working on.  fn's
+    per-image results are joined along the first axis (None if fn returns
+    None).  Every lane has finished when this returns or raises, and a
+    lane's exception reaches the caller."""
+    global _pool
     if _pool is None:
         _pool = ThreadPoolExecutor(_lanes - 1, thread_name_prefix="dmlseg-lane")
+    n = len(batched[0])
     images = iter(range(n))
     claim = threading.Lock()
     results = [None] * n
@@ -147,7 +163,7 @@ def _over_images(n: int, macs: int,
                 i = next(images, n)
             if i == n:
                 return
-            results[i] = fn(i, i + 1)
+            results[i] = fn(shared, *(a[i:i + 1] for a in batched))
 
     others = [_pool.submit(lane) for _ in range(lanes - 1)]
     try:
@@ -162,6 +178,51 @@ def _over_images(n: int, macs: int,
     return None if results[0] is None else np.concatenate(results)
 
 
+# conv2d's passes, each a function of one shared operand and of arrays of
+# images, as `_over_images` calls them
+
+def _columns(windows: np.ndarray) -> np.ndarray:
+    """(B, C_in*kh*kw, h_out*w_out) columns of a (B, C_in, kh, kw, h_out,
+    w_out) window view: one contiguous copy, or a view of the input itself
+    for a 1x1 stride-1 unpadded conv (reshape drops the size-1 kernel axes
+    without copying)."""
+    b, c, kh, kw, h_out, w_out = windows.shape
+    return windows.reshape(b, c * kh * kw, h_out * w_out)
+
+
+def _forward_pass(w_mat: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    return np.matmul(w_mat, _columns(windows))
+
+
+def _weight_pass(_, g_mat: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    # columns are rebuilt here rather than kept on the tape
+    return np.matmul(g_mat, _columns(windows).transpose(0, 2, 1))
+
+
+def _flipped_pass(w_flip: np.ndarray, view: np.ndarray, gx: np.ndarray) -> None:
+    """Stride-1 input gradient: a correlation of the padded output gradient
+    with the flipped, transposed kernel, written into gx (B, C_in, h*w);
+    columns one image at a time, since a batch-wide copy raises peak memory."""
+    for i in range(len(view)):
+        np.matmul(w_flip, view[i].reshape(w_flip.shape[1], -1), out=gx[i])
+
+
+def _scatter_pass(geometry: tuple, g: np.ndarray, gpad: np.ndarray) -> None:
+    """Stride > 1 input gradient: the gradient of every window element from
+    one GEMM, added back onto the padded input gradient gpad by kh*kw
+    strided adds.  `geometry` is (weight, stride, dilation)."""
+    weight, stride, dilation = geometry
+    c_out, c_in, kh, kw = weight.shape
+    b, _, h_out, w_out = g.shape
+    gcols = np.matmul(weight.reshape(c_out, -1).T, g.reshape(b, c_out, -1)).reshape(
+        b, c_in, kh, kw, h_out, w_out)
+    for u in range(kh):
+        rows = slice(u * dilation, u * dilation + stride * h_out, stride)
+        for v in range(kw):
+            cols = slice(v * dilation, v * dilation + stride * w_out, stride)
+            gpad[:, :, rows, cols] += gcols[:, :, u, v]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
            dilation: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with dilation, zero padding and bias.
@@ -169,11 +230,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
     weight is (C_out, C_in, kH, kW); bias is (C_out,) stored as
     (1, C_out, 1, 1).
     """
-    n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
+    x_data, w_data = x.data, weight.data
+    n, c_in, h, w = x_data.shape
+    c_out, c_in_w, kh, kw = w_data.shape
     if c_in != c_in_w:
         raise ConfigError(f"conv2d: input has {c_in} channels, weight expects {c_in_w}")
-    if bias.shape != (1, c_out, 1, 1):
+    if bias.data.shape != (1, c_out, 1, 1):
         raise ConfigError(f"conv2d: bias shape {bias.shape} != (1, {c_out}, 1, 1)")
     eff_h = (kh - 1) * dilation + 1
     eff_w = (kw - 1) * dilation + 1
@@ -183,77 +245,57 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
             f"conv2d: effective kernel {eff_h}x{eff_w} exceeds padded input {hp}x{wp}")
     h_out = (hp - eff_h) // stride + 1
     w_out = (wp - eff_w) // stride + 1
-    k = c_in * kh * kw
 
-    padded = _pad(x.data, padding, padding, 0.0) if padding > 0 else x.data
-    windows = _window_view(padded, kh, kw, stride, dilation, h_out, w_out)
-    macs = c_out * k * h_out * w_out  # per image and per pass
-
-    def columns(a: int, b: int) -> np.ndarray:
-        """(b-a, C_in*kh*kw, h_out*w_out) for images [a, b): one contiguous
-        copy of the window view, or a view of the input itself for a 1x1
-        stride-1 unpadded conv (reshape drops the size-1 kernel axes
-        without copying)."""
-        return windows[a:b].reshape(b - a, k, h_out * w_out)
-
-    w_mat = weight.data.reshape(c_out, k)
-    out_data = _over_images(n, macs, lambda a, b: np.matmul(w_mat, columns(a, b)))
-    out_data = out_data.reshape(n, c_out, h_out, w_out)
+    windows = _window_view(_pad(x_data, padding, padding) if padding > 0 else x_data,
+                           kh, kw, stride, dilation, h_out, w_out)
+    w_mat = w_data.reshape(c_out, c_in * kh * kw)
+    macs = w_mat.size * h_out * w_out  # per image and per pass
+    out_data = _over_images(macs, _forward_pass, w_mat, windows).reshape(
+        n, c_out, h_out, w_out)
     out_data += bias.data
     if not np.isfinite(out_data).all():
         raise NumericError("conv2d produced non-finite values")
 
-    def backward_fn(g: np.ndarray) -> None:
-        g_mat = g.reshape(n, c_out, h_out * w_out)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
-        if weight.requires_grad:
-            # columns are rebuilt here rather than kept on the tape
-            gw = _over_images(n, macs, lambda a, b: np.matmul(
-                g_mat[a:b], columns(a, b).transpose(0, 2, 1)))
-            weight.accumulate_grad(gw.sum(axis=0).reshape(weight.shape))
-        if not x.requires_grad:
-            return
-        if stride == 1:
-            # correlation with the flipped kernel; columns one image at a
-            # time, since a batch-wide copy raises peak memory
-            qh, qw = eff_h - 1 - padding, eff_w - 1 - padding
-            g_pad = _pad(g, qh, qw, 0.0) if qh or qw else g
-            view = _window_view(g_pad, kh, kw, 1, dilation, h, w)
-            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
-                c_in, c_out * kh * kw)
-            gx = np.empty((n, c_in, h * w), dtype=g.dtype)
+    return push_node((x, weight, bias), out_data, functools.partial(
+        _conv2d_backward, x, weight, bias, windows, stride, dilation, padding))
 
-            def input_pass(a: int, b: int) -> None:
-                for i in range(a, b):
-                    np.matmul(w_flip, view[i].reshape(c_out * kh * kw, h * w), out=gx[i])
 
-            _over_images(n, macs, input_pass)
-            x.accumulate_grad(gx.reshape(n, c_in, h, w))
-        else:
-            # gradient w.r.t. every window element, then scatter-add back
-            gpad = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
-
-            def input_pass(a: int, b: int) -> None:
-                gcols = np.matmul(w_mat.T, g_mat[a:b]).reshape(
-                    b - a, c_in, kh, kw, h_out, w_out)
-                for u in range(kh):
-                    rows = slice(u * dilation, u * dilation + stride * h_out, stride)
-                    for v in range(kw):
-                        cols = slice(v * dilation, v * dilation + stride * w_out, stride)
-                        gpad[a:b, :, rows, cols] += gcols[:, :, u, v]
-
-            _over_images(n, macs, input_pass)
-            x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
-
-    return push_node((x, weight, bias), out_data, backward_fn)
+def _conv2d_backward(x: Tensor, weight: Tensor, bias: Tensor, windows: np.ndarray,
+                     stride: int, dilation: int, padding: int, g: np.ndarray) -> None:
+    """Accumulate conv2d's bias, weight and input gradients for the output
+    gradient g, from the forward's window view of the padded input."""
+    n, c_out, h_out, w_out = g.shape
+    _, c_in, h, w = x.data.shape
+    kh, kw = weight.data.shape[2:]
+    macs = weight.data.size * h_out * w_out
+    if bias.requires_grad:
+        bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
+    if weight.requires_grad:
+        gw = _over_images(macs, _weight_pass, None, g.reshape(n, c_out, h_out * w_out), windows)
+        weight.accumulate_grad(gw.sum(axis=0).reshape(weight.shape))
+    if not x.requires_grad:
+        return
+    if stride == 1:
+        # correlation with the flipped kernel
+        qh, qw = (kh - 1) * dilation - padding, (kw - 1) * dilation - padding
+        view = _window_view(_pad(g, qh, qw) if qh or qw else g, kh, kw, 1, dilation, h, w)
+        w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+            c_in, c_out * kh * kw)
+        gx = np.empty((n, c_in, h * w), dtype=g.dtype)
+        _over_images(macs, _flipped_pass, w_flip, view, gx)
+        x.accumulate_grad(gx.reshape(n, c_in, h, w))
+    else:
+        hp, wp = h + 2 * padding, w + 2 * padding
+        gpad = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
+        _over_images(macs, _scatter_pass, (weight.data, stride, dilation), g, gpad)
+        x.accumulate_grad(gpad[:, :, padding:hp - padding, padding:wp - padding])
 
 
 def relu(x: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         x.accumulate_grad(g * (x.data > 0))
 
-    return push_node((x,), np.maximum(x.data, 0), backward_fn)
+    return push_node((x,), np.maximum(x.data, 0.0), backward_fn)
 
 
 def maxpool2d(x: Tensor, *, kernel: int, stride: int, padding: int = 0) -> Tensor:
@@ -327,14 +369,14 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
 def elementwise_sum(inputs: Sequence[Tensor]) -> Tensor:
     """Left-to-right elementwise sum of same-shaped tensors."""
-    if len(inputs) < 1:
+    if not inputs:
         raise ConfigError("elementwise_sum needs at least one input")
-    shape = inputs[0].shape
+    first = inputs[0].data
     for t in inputs[1:]:
-        if t.shape != shape:
-            raise ConfigError(f"elementwise_sum: shape {t.shape} != {shape}")
-    out_data = inputs[0].data.copy()
-    for t in inputs[1:]:
+        if t.data.shape != first.shape:
+            raise ConfigError(f"elementwise_sum: shape {t.shape} != {first.shape}")
+    out_data = first + inputs[1].data if len(inputs) > 1 else first.copy()
+    for t in inputs[2:]:
         out_data += t.data
 
     def backward_fn(g: np.ndarray) -> None:

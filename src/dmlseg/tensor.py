@@ -60,17 +60,18 @@ class Tensor:
         return self.data.size
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # one pass, no zero fill: g + 0.0 is 0.0 + g bit for bit
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def item(self) -> float:
-        if self.size != 1:
+        if self.data.size != 1:
             raise UsageError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -109,7 +109,8 @@ class LaneError(Exception):
 def test_lane_exception_reaches_caller_after_every_lane_stops(failing, two_lanes):
     running, done, lock = [0], [], threading.Lock()
 
-    def pass_(a, b):
+    def pass_(_, images):
+        a = int(images[0])
         with lock:
             running[0] += 1
         try:
@@ -122,7 +123,7 @@ def test_lane_exception_reaches_caller_after_every_lane_stops(failing, two_lanes
                 running[0] -= 1
 
     with pytest.raises(LaneError, match=f"image {failing}"):
-        ops._over_images(4, 0, pass_)
+        ops._over_images(0, pass_, None, np.arange(4))
     assert running[0] == 0  # no lane left running
     finished = sorted(done)
     time.sleep(0.2)

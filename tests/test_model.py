@@ -247,6 +247,36 @@ class TestForward:
             assert all(kept[k] is memo[k] for k in reused), name
             assert list(kept)[len(reused):] == recomputed, name  # stored again, in order
 
+    def test_memo_runs_only_the_steps_it_lacks(self):
+        # the trunk is lazy: it runs once, and only when a head that is not
+        # stored asks for it
+        model = build_model(tiny_config(), seed=0)
+        x = Tensor(np.random.default_rng(11).random((2, 3, 32, 32)))
+        memo = {}
+        full = forward(model, x, memo)
+        ran = []
+
+        def spy(name, step):
+            def run(t):
+                ran.append(name)
+                return step(t)
+            return run
+
+        model.trunk = [(name, spy(name, step)) for name, step in model.trunk]
+        model.heads = [[(name, spy(name, step)) for name, step in path] for path in model.heads]
+        every = [name for name, _ in model.trunk] + [name for path in model.heads
+                                                     for name, _ in path]
+        assert list(memo) == every
+        lacking_dml2 = {k: v for k, v in memo.items() if not k.startswith("dml2.")}
+        for given, expect in (({}, every), (None, every), (dict(memo), []),
+                              (lacking_dml2, [name for name, _ in model.heads[2]])):
+            ran.clear()
+            out = forward(model, x, given)
+            assert ran == expect
+            for a, b in zip([out.s, out.p, *out.m, *out.m_up],
+                            [full.s, full.p, *full.m, *full.m_up]):
+                assert np.array_equal(a.data, b.data)
+
     @pytest.mark.parametrize("kw", [{}, {"levels": 0, "window_sizes": ()},
                                     {"dml_extra_stride": 1}])
     def test_memo_keys_are_describe_lines(self, kw):

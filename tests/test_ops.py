@@ -131,6 +131,25 @@ class TestConv2d:
             ops.conv2d(x, w, b, dilation=2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fill", [0.0, -np.inf])
+@pytest.mark.parametrize("ph, pw", [(2, 2), (1, 0), (0, 3), (0, 0), (-1, -1), (-2, 0),
+                                    (-1, 2), (2, -3)])
+def test_pad_matches_np_pad_of_the_cropped_array(ph, pw, fill, dtype):
+    # positive widths pad, negative ones crop (the stride-1 backward's
+    # eff-1-p can be either); the result is always a fresh C-contiguous copy
+    a = np.random.default_rng(5).normal(size=(2, 3, 6, 7)).astype(dtype)
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    cropped = a[:, :, ch:6 - ch, cw:7 - cw]
+    widths = ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2)
+    expect = np.pad(cropped, widths, constant_values=fill)
+    got = ops._pad(a, ph, pw, fill)
+    assert got.dtype == dtype and got.flags.c_contiguous
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()  # signed zeros included
+    assert not np.shares_memory(got, a)
+
+
 def test_window_view_is_read_only():
     padded = np.zeros((1, 2, 5, 5))
     view = ops._window_view(padded, 3, 3, 1, 1, 3, 3)

@@ -317,13 +317,26 @@ def _conv_names(model):
     return [line.split()[0] for line in describe(model).splitlines() if " conv " in line]
 
 
-def _rerun(convs, layer):
-    """The conv layers a probe of `layer` runs: it and those after it on its
-    path, which for a trunk layer is every later layer."""
-    later = convs[convs.index(layer):]
+def _rerun(names, layer):
+    """The steps of `names` (describe order) a probe of `layer` runs: it and
+    those after it on its path, which for a trunk layer is every later step."""
+    later = names[names.index(layer):]
     if layer.startswith("low."):
         return later
     return [name for name in later if name.partition(".")[0] == layer.partition(".")[0]]
+
+
+def _step_ops(model):
+    """Each describe step's name and the ops it calls, in describe order."""
+    steps = []
+    for line in describe(model).splitlines()[1:-1]:
+        name, kind, *rest = line.split()
+        if kind == "conv":
+            steps.append((name, ["conv2d"] + ["relu"] * ("relu" in rest)))
+        else:
+            steps.append((name, [{"-0.5": "shift", "max": "maxpool2d"}.get(
+                kind, "upsample_nearest")]))
+    return steps
 
 
 @pytest.mark.parametrize("name", ["low.0.weight", "low.1.bias", "seg.0.weight", "seg.1.bias",
@@ -363,24 +376,34 @@ def test_probe_reruns_exactly_the_layers_it_moves(name, monkeypatch):
 
 @pytest.mark.parametrize("levels", [3, 0])
 def test_grad_check_op_counts_follow_the_per_layer_rule(levels, monkeypatch):
-    # one forward per evaluation (two per coordinate, plus the recorded
-    # pass), and a conv for every layer a probe moves: a change that widens
-    # recomputation fails here, not only in a benchmark run
+    # one forward and one fuse per evaluation (two per coordinate, plus the
+    # recorded pass), and every op of every step a probe moves: a change that
+    # widens recomputation, moves work between ops or drops an op boundary
+    # fails here, not only in a benchmark run
     cfg = _fd_config(levels)
+    ops = ("conv2d", "relu", "maxpool2d", "upsample_nearest", "shift", "elementwise_sum")
     calls = collections.Counter()
-    for owner, op in ((train_module, "forward"), (model_module, "conv2d")):
+    for owner, op in [(train_module, "forward")] + [(model_module, op) for op in ops]:
         def counted(*args, op=op, orig=getattr(owner, op), **kwargs):
             calls[op] += 1
             return orig(*args, **kwargs)
         monkeypatch.setattr(owner, op, counted)
     grad_check(cfg, 1e-4, seed=0)
     model = build_model(cfg)
-    convs = _conv_names(model)
+    steps = _step_ops(model)
+    names = [name for name, _ in steps]
+    runs = collections.Counter(names)  # the recorded pass runs every step once
+    for p in model.parameters():
+        for name in _rerun(names, p.name.rpartition(".")[0]):
+            runs[name] += 2 * p.tensor.size
+    expected = collections.Counter({op: 0 for op in ops})
+    for name, step_ops in steps:
+        for op in step_ops:
+            expected[op] += runs[name]
     coords = sum(p.tensor.size for p in model.parameters())
-    assert calls["forward"] == 2 * coords + 1
-    assert calls["conv2d"] == len(convs) + sum(
-        2 * p.tensor.size * len(_rerun(convs, p.name.rpartition(".")[0]))
-        for p in model.parameters())
+    expected["forward"] = expected["elementwise_sum"] = 2 * coords + 1
+    assert calls == expected  # a missing op counts as zero
+    assert expected["shift"] == 1 and (expected["maxpool2d"] > 0) == (levels > 0)
 
 
 def test_experiment_structure_and_determinism(corpus, tmp_path):
