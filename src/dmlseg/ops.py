@@ -13,8 +13,9 @@ gradient takes one of two paths, chosen by the layer's stride:
 
 Each of those three passes (forward GEMM, weight-gradient GEMM, input
 gradient) is a module-level function of one shared operand and of arrays
-that hold the images along their first axis, and `_over_images` decides
-how a batch is covered.  A pass runs inline, as one call on the whole
+that hold the images along their first axis, the last of them an array the
+caller allocated and the pass writes, and `_over_images` decides how a
+batch is covered.  A pass runs inline, as one call on the whole
 arrays on the caller, when N is 1, when it costs fewer than INLINE_MACS
 (2^20) multiply-adds per image, or when there is one lane.  Otherwise W
 lanes, the caller and W-1 pool threads, each take the next image, a
@@ -124,38 +125,38 @@ def _lane_count() -> int:
     return max(cores // blas, 1)
 
 
-def _over_images(macs: int, fn: Callable[..., np.ndarray | None], shared,
-                 *batched: np.ndarray) -> np.ndarray | None:
-    """What `fn(shared, *batched)` returns, each array of `batched` holding
-    the same n images along its first axis: inline, as that one call on the
-    caller, when n is 1, a pass costs fewer than INLINE_MACS per image, or
-    there is one lane; otherwise in min(W, n) lanes (`_in_lanes`)."""
+def _over_images(macs: int, fn: Callable[..., None], shared, *batched: np.ndarray) -> None:
+    """Run `fn(shared, *batched)`, each array of `batched` holding the same
+    n images along its first axis and fn writing its result into the last
+    of them: inline, as that one call on the caller, when n is 1, a pass
+    costs fewer than INLINE_MACS per image, or there is one lane; otherwise
+    in min(W, n) lanes (`_in_lanes`)."""
     global _lanes
     n = len(batched[0])
     if n > 1 and macs >= INLINE_MACS:
         if _lanes is None:
             _lanes = _lane_count()
         if _lanes > 1:
-            return _in_lanes(min(_lanes, n), fn, shared, batched)
-    return fn(shared, *batched)
+            _in_lanes(min(_lanes, n), fn, shared, batched)
+            return
+    fn(shared, *batched)
 
 
-def _in_lanes(lanes: int, fn: Callable[..., np.ndarray | None], shared,
-              batched: tuple[np.ndarray, ...]) -> np.ndarray | None:
+def _in_lanes(lanes: int, fn: Callable[..., None], shared,
+              batched: tuple[np.ndarray, ...]) -> None:
     """`_over_images` in `lanes` lanes, the caller and the pool's threads:
     each claims the next image i and calls fn(shared, *(a[i:i + 1] for a in
     batched)) until none is left, so a lane that is slow to start or
-    descheduled holds back at most the one image it is working on.  fn's
-    per-image results are joined along the first axis (None if fn returns
-    None).  Every lane has finished when this returns or raises, and a
-    lane's exception reaches the caller."""
+    descheduled holds back at most the one image it is working on, and
+    writes into its one-image slice of the caller's arrays.  Every lane has
+    finished when this returns or raises, and a lane's exception reaches the
+    caller."""
     global _pool
     if _pool is None:
         _pool = ThreadPoolExecutor(_lanes - 1, thread_name_prefix="dmlseg-lane")
     n = len(batched[0])
     images = iter(range(n))
     claim = threading.Lock()
-    results = [None] * n
 
     def lane() -> None:
         while True:
@@ -163,7 +164,7 @@ def _in_lanes(lanes: int, fn: Callable[..., np.ndarray | None], shared,
                 i = next(images, n)
             if i == n:
                 return
-            results[i] = fn(shared, *(a[i:i + 1] for a in batched))
+            fn(shared, *(a[i:i + 1] for a in batched))
 
     others = [_pool.submit(lane) for _ in range(lanes - 1)]
     try:
@@ -175,11 +176,10 @@ def _in_lanes(lanes: int, fn: Callable[..., np.ndarray | None], shared,
     for f in others:
         if not f.cancelled():
             f.result()
-    return None if results[0] is None else np.concatenate(results)
 
 
 # conv2d's passes, each a function of one shared operand and of arrays of
-# images, as `_over_images` calls them
+# images, the last of which it writes, as `_over_images` calls them
 
 def _columns(windows: np.ndarray) -> np.ndarray:
     """(B, C_in*kh*kw, h_out*w_out) columns of a (B, C_in, kh, kw, h_out,
@@ -190,13 +190,13 @@ def _columns(windows: np.ndarray) -> np.ndarray:
     return windows.reshape(b, c * kh * kw, h_out * w_out)
 
 
-def _forward_pass(w_mat: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    return np.matmul(w_mat, _columns(windows))
+def _forward_pass(w_mat: np.ndarray, windows: np.ndarray, out: np.ndarray) -> None:
+    np.matmul(w_mat, _columns(windows), out=out)
 
 
-def _weight_pass(_, g_mat: np.ndarray, windows: np.ndarray) -> np.ndarray:
+def _weight_pass(_, g_mat: np.ndarray, windows: np.ndarray, out: np.ndarray) -> None:
     # columns are rebuilt here rather than kept on the tape
-    return np.matmul(g_mat, _columns(windows).transpose(0, 2, 1))
+    np.matmul(g_mat, _columns(windows).transpose(0, 2, 1), out=out)
 
 
 def _flipped_pass(w_flip: np.ndarray, view: np.ndarray, gx: np.ndarray) -> None:
@@ -250,8 +250,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, stride: int = 1,
                            kh, kw, stride, dilation, h_out, w_out)
     w_mat = w_data.reshape(c_out, c_in * kh * kw)
     macs = w_mat.size * h_out * w_out  # per image and per pass
-    out_data = _over_images(macs, _forward_pass, w_mat, windows).reshape(
-        n, c_out, h_out, w_out)
+    # matmul's own result type: a check64 model's weights meet train32
+    # images when it is evaluated after training
+    out_data = np.empty((n, c_out, h_out, w_out), np.promote_types(w_data.dtype, x_data.dtype))
+    _over_images(macs, _forward_pass, w_mat, windows, out_data.reshape(n, c_out, -1))
     out_data += bias.data
     if not np.isfinite(out_data).all():
         raise NumericError("conv2d produced non-finite values")
@@ -271,7 +273,8 @@ def _conv2d_backward(x: Tensor, weight: Tensor, bias: Tensor, windows: np.ndarra
     if bias.requires_grad:
         bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
     if weight.requires_grad:
-        gw = _over_images(macs, _weight_pass, None, g.reshape(n, c_out, h_out * w_out), windows)
+        gw = np.empty((n, c_out, c_in * kh * kw), np.promote_types(g.dtype, windows.dtype))
+        _over_images(macs, _weight_pass, None, g.reshape(n, c_out, h_out * w_out), windows, gw)
         weight.accumulate_grad(gw.sum(axis=0).reshape(weight.shape))
     if not x.requires_grad:
         return

@@ -6,6 +6,15 @@ training speed ("train32"), float64 for finite-difference checking
 bit-deterministic for identical inputs: the tape runs on the caller's
 thread, and the only parallel work, `ops.conv2d`'s per-image lanes, gives
 the same bytes for any number of lanes.
+
+A graph is walked once.  `Graph.backward` drops each node as soon as its
+backward function has run, and with it the tape's last references to that
+op's output, its saved inputs and its closure, so the activations and
+gradients of a step are freed as the walk proceeds, not when the caller
+drops the graph.  Leaves (inputs that no recorded op produced: parameters
+and tensors made with `requires_grad`) get zero gradients when the loss
+does not reach them.  A walked graph is empty, and walking it again is a
+UsageError.
 """
 
 from __future__ import annotations
@@ -95,35 +104,46 @@ class Graph:
     """Tape of operations in forward execution order.
 
     Forward order is a topological order by construction, so backward
-    simply walks the list in reverse.
+    pops the list from its end.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.walked = False
 
     def record(self, inputs: tuple[Tensor, ...], output: Tensor,
                backward_fn: Callable[[np.ndarray], None]) -> None:
         self.nodes.append(Node(inputs, output, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad on every tensor the loss depends on.
+        """Populate .grad on every tensor the loss depends on, once.
 
         The loss must be a scalar tensor produced while this graph was
-        recording.  Gradients accumulate into existing buffers; recorded
-        tensors the loss cannot reach end up with zero gradients.
+        recording.  Gradients accumulate into existing buffers, in reverse
+        recording order.  Each node is dropped from the tape as soon as its
+        backward function has run, so an intermediate's data and gradient
+        are freed there unless the caller holds that tensor.  Leaves that
+        the loss cannot reach end up with zero gradients.  The walked graph
+        is empty; a second call is a UsageError.
         """
         if loss.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self.walked:
+            raise UsageError("backward on a graph that was already walked; "
+                             "record the forward pass on a new graph")
+        self.walked = True
+        nodes = self.nodes
+        made = {id(node.output) for node in nodes}
+        leaves = [t for node in nodes for t in node.inputs
+                  if t.requires_grad and id(t) not in made]
         loss.accumulate_grad(np.ones_like(loss.data))
-        for node in reversed(self.nodes):
-            g = node.output.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
-        for node in self.nodes:
-            for t in node.inputs:
-                if t.requires_grad and t.grad is None:
-                    t.grad = np.zeros_like(t.data)
+        while nodes:
+            node = nodes.pop()
+            if node.output.grad is not None:
+                node.backward_fn(node.output.grad)
+        for t in leaves:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
 
 
 _active: Graph | None = None

@@ -3,6 +3,7 @@ baseline-vs-multi-label ablation experiment."""
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 from contextlib import contextmanager
@@ -92,6 +93,30 @@ def _precision(mode: str):
         tensor.set_precision(prev_mode)
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters, glibc's malloc.h
+
+
+def _keep_freed_heap() -> None:
+    """Let the C heap keep what a training step frees, for the next step.
+
+    A desk step allocates and frees tens of MB of arrays of a few MB each.
+    With glibc's defaults the larger ones are mmapped and unmapped, and the
+    heap top is trimmed, so every step faults the same pages in afresh.
+    Here arrays below 32 MiB come from the heap, and the heap is trimmed
+    only when more than 64 MiB is free at its top: the largest values
+    glibc's own dynamic thresholds reach on a 64-bit host, fixed from the
+    first step.  Setting them again changes nothing; where the C library
+    has no mallopt (not glibc) this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no libc handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def objective(model: Model, x: Tensor, y_seg: np.ndarray, y_mul: np.ndarray,
               memo: dict | None = None) -> tuple[Tensor, LossReport]:
     """Forward pass plus the joint loss: softmax NLL of the fused scores and
@@ -141,7 +166,9 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           out_dir: Path, grids=None, targets=None) -> TrainResult:
     """SGD over the joint objective; writes checkpoint.dmls and loss.csv.
     `grids` (N, Hg, Wg) and `targets` (N, J, K, Hd, Wd), or their per-image
-    rows, default to `prepare_targets` of the split; a misfit is a ConfigError."""
+    rows, default to `prepare_targets` of the split; a misfit is a ConfigError.
+    Memory freed by one step is kept for the next (`_keep_freed_heap`)."""
+    _keep_freed_heap()
     with _precision(train_cfg.precision):
         idxs = _train_indices(corpus, train_cfg)
         if grids is None or targets is None:

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -59,6 +60,42 @@ def test_unreached_tensor_gets_zero_grad():
     g.backward(loss)
     assert np.all(x.grad == 1.0)
     assert y.grad is not None and np.all(y.grad == 0.0)
+
+
+def test_graph_is_walked_once():
+    x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+    with record() as g:
+        loss = reduce_sum(ops.scale(x, 2.0))
+    with record() as empty:
+        pass
+    for graph, graph_loss in ((g, loss), (empty, scalar(1.0))):
+        graph.backward(graph_loss)
+        assert graph.nodes == []
+        with pytest.raises(UsageError, match="already walked"):
+            graph.backward(graph_loss)
+    assert np.all(x.grad == 2.0)  # not added again
+
+
+def test_intermediates_are_freed_as_the_walk_proceeds():
+    """An intermediate's array lives on the tape only until the node that
+    made it has run; the walk reaches the first recorded node with every
+    later one already gone."""
+    x = Tensor(np.arange(-2.0, 2.0).reshape(1, 1, 2, 2), requires_grad=True)
+    alive_at_first_node = []
+    with record() as g:
+        def first_fn(grad):
+            alive_at_first_node.append(ref())
+            x.accumulate_grad(grad)
+        first = tensor.push_node((x,), x.data.copy(), first_fn)
+        mid = ops.relu(ops.scale(first, 2.0))
+        ref = weakref.ref(mid.data)
+        loss = reduce_sum(mid)
+    del first, mid
+    assert ref() is not None  # the tape holds it until backward
+    g.backward(loss)
+    assert ref() is None
+    assert alive_at_first_node == [None]
+    assert x.grad.reshape(-1).tolist() == [0.0, 0.0, 0.0, 2.0]
 
 
 def test_grad_accumulates_across_uses():

@@ -1,8 +1,12 @@
 import collections
+import ctypes
 import dataclasses
 import hashlib
 import inspect
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +163,60 @@ def test_failed_loss_csv_write_keeps_previous_file(corpus, tmp_path, monkeypatch
         train(corpus, tiny_model_config(), dataclasses.replace(tcfg, iterations=3), run)
     assert (run / "loss.csv").read_bytes() == before
     assert sorted(p.name for p in run.iterdir()) == ["checkpoint.dmls", "loss.csv"]
+
+
+# desk training with sgd_step counted: the minor page faults of each step
+# after the first, one line of counts on stdout
+_FAULTS_SCRIPT = """
+import resource, tempfile
+from pathlib import Path
+import dmlseg.train as train_module
+from dmlseg.model import ModelConfig
+from dmlseg.synth_data import SceneSpec, write_corpus
+
+counts = []
+sgd_step = train_module.sgd_step
+
+def counted(*args, **kwargs):
+    sgd_step(*args, **kwargs)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+train_module.sgd_step = counted
+cfg = ModelConfig(num_classes=8, input_size=(96, 96), low_channels=((24, 2), (48, 2)),
+                  seg_channels=(64, 64))
+with tempfile.TemporaryDirectory() as d:
+    corpus = write_corpus(SceneSpec(seed=4, size=(96, 96), num_classes=8), 8, 0,
+                          Path(d) / "corpus")
+    train_module.train(corpus, cfg, train_module.TrainConfig(iterations=8, batch_size=8, seed=3),
+                       Path(d) / "run")
+print(*(b - a for a, b in zip(counts, counts[1:])))
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+def test_desk_steps_reuse_memory_the_process_holds():
+    """After warm-up a desk step (96x96, batch 8, levels 3) takes its arrays
+    from pages earlier steps touched: at most 64 minor faults per step over
+    steps 4-8, where returning freed memory to the kernel costs thousands.  BLAS is pinned to
+    one thread, as the benchmark pins it, so that on two or more cores the
+    conv lanes' threads allocate too."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(train_module.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_step = [int(v) for v in proc.stdout.split()]  # steps 2..8
+    assert len(per_step) == 7
+    late = per_step[2:]  # steps 4..8
+    assert sum(late) <= 64 * len(late), f"minor faults per step {per_step}"
 
 
 def test_every_way_of_handing_targets_gives_the_same_bytes(corpus, tmp_path):
