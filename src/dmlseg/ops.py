@@ -11,6 +11,19 @@ gradient takes one of two paths, chosen by the layer's stride:
 * stride > 1: one GEMM gives the gradient of every window element, which
   kh*kw strided adds scatter back onto the padded input.
 
+The scatter path would serve stride 1 too; stride 1 keeps its own path
+because it is faster where the cost is.  Measured on a 2-core VM (numpy
+2.4.6, OpenBLAS 0.3.31, one BLAS thread, float32, batch 8, medians of 30
+calls), routing the desk model's stride-1 input gradients through
+`_scatter_pass` took 1.3-1.5x as long on its 3x3 convs (seg.0, seg.1,
+dml*.stage1) and 1.2-1.9x on its 64-channel 1x1 convs (seg.proj,
+dml*.proj), and one step's stride-1 input gradients 8.3 -> 11.8 ms at two
+lanes and 13.1 -> 18.7 ms at one.  Scatter won only on 1x1 convs of at
+most 8 channels (dml*.adapt 0.5x, and the check network's 0.8x), which
+cost under 0.1 ms; the check network's 3x3 d2 conv (float64, batch 2)
+took 25 -> 64 us.  The two paths also sum in different orders, 6.2e-7
+apart (relative, float32), so moving a conv between them changes bytes.
+
 Each of those three passes (forward GEMM, weight-gradient GEMM, input
 gradient) is a module-level function of one shared operand and of arrays
 that hold the images along their first axis, the last of them an array the

@@ -33,7 +33,9 @@ class TrainConfig(KvConfig):
     weight_decay: float = 0.0005
     lr: float = 0.01
     seed: int = 0
-    eval_every: int = 0  # 0: checkpoint only at the end
+    # iterations between saves of loss.csv and the checkpoint (no evaluation
+    # runs); 0: one save, at the end
+    eval_every: int = 0
     precision: str = "train32"
     lr_poly: float = 0.0  # 0: constant rate
 
@@ -44,9 +46,9 @@ class TrainConfig(KvConfig):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (self.weight_decay >= 0 and self.lr >= 0 and self.lr_poly >= 0):
             raise ConfigError("lr, weight_decay and lr_poly must be non-negative")
-        if self.eval_every < 0 or self.seed < 0:
-            raise ConfigError(f"eval_every and seed must be non-negative, "
-                              f"got {self.eval_every} and {self.seed}")
+        for key in ("eval_every", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if self.precision not in tensor.MODES:
             raise ConfigError(f"precision must be one of {sorted(tensor.MODES)}, "
                               f"got {self.precision!r}")
@@ -164,7 +166,9 @@ def _train_indices(corpus: Corpus, train_cfg: TrainConfig) -> list[int]:
 
 def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           out_dir: Path, grids=None, targets=None) -> TrainResult:
-    """SGD over the joint objective; writes checkpoint.dmls and loss.csv.
+    """SGD over the joint objective.  Every `eval_every`-th iteration and the
+    last (0: the last only) is a save point, which writes loss.csv, the rows
+    so far, and then checkpoint.dmls, each atomically.
     `grids` (N, Hg, Wg) and `targets` (N, J, K, Hd, Wd), or their per-image
     rows, default to `prepare_targets` of the split; a misfit is a ConfigError.
     Memory freed by one step is kept for the next (`_keep_freed_heap`)."""
@@ -185,38 +189,36 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
         batches = _batch_iterator(len(idxs), train_cfg.batch_size, train_cfg.seed)
         reports: list[LossReport] = []
         rows = [LossReport.csv_header(model_cfg.levels)]
+        saved = None  # the iteration of this run's last save
 
-        try:
-            for it in range(train_cfg.iterations):
-                idx = next(batches)
-                x = Tensor(np.stack([corpus.load_image(idxs[i]) for i in idx]))
+        for it in range(train_cfg.iterations):
+            idx = next(batches)
+            x = Tensor(np.stack([corpus.load_image(idxs[i]) for i in idx]))
 
-                try:
-                    with record() as g:
-                        total, report = objective(model, x, grids[idx], targets[idx])
-                    if not math.isfinite(report.total):
-                        raise NumericError("non-finite loss")
-                    g.backward(total)
-                except NumericError as exc:
-                    raise NumericError(
-                        f"{exc} at iteration {it}; last good checkpoint "
-                        f"{'retained at ' + str(ckpt_path) if ckpt_path.exists() else 'none'}"
-                    ) from exc
+            try:
+                with record() as g:
+                    total, report = objective(model, x, grids[idx], targets[idx])
+                if not math.isfinite(report.total):
+                    raise NumericError("non-finite loss")
+                g.backward(total)
+            except NumericError as exc:
+                kept = ("this run saved no checkpoint" if saved is None else
+                        f"last good checkpoint retained at {ckpt_path} (iteration {saved})")
+                raise NumericError(f"{exc} at iteration {it}; {kept}") from exc
 
-                lr = train_cfg.lr
-                if train_cfg.lr_poly > 0:
-                    lr *= (1.0 - it / train_cfg.iterations) ** train_cfg.lr_poly
-                sgd_step(params, lr, train_cfg.momentum, train_cfg.weight_decay)
+            lr = train_cfg.lr
+            if train_cfg.lr_poly > 0:
+                lr *= (1.0 - it / train_cfg.iterations) ** train_cfg.lr_poly
+            sgd_step(params, lr, train_cfg.momentum, train_cfg.weight_decay)
 
-                reports.append(report)
-                rows.append(report.csv_row(it))
-                if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0:
-                    save_model_checkpoint(ckpt_path, model)
-        finally:
-            write_atomic(csv_path, ("\n".join(rows) + "\n").encode("utf-8"))
-
-        if not train_cfg.eval_every or train_cfg.iterations % train_cfg.eval_every:
-            save_model_checkpoint(ckpt_path, model)  # else the last periodic save holds it
+            reports.append(report)
+            rows.append(report.csv_row(it))
+            if it + 1 == train_cfg.iterations or (
+                    train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0):
+                # loss.csv first: a save cut short leaves it ahead, never behind
+                write_atomic(csv_path, ("\n".join(rows) + "\n").encode("utf-8"))
+                save_model_checkpoint(ckpt_path, model)
+                saved = it
         return TrainResult(model=model, checkpoint_path=ckpt_path,
                            loss_csv_path=csv_path, reports=reports)
 

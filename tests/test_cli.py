@@ -597,6 +597,18 @@ def test_malformed_option_value_exits_1(argv, cfg_text, corpus_dir, run_dir, tmp
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.cfg"}  # rejected before any write
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["grad-check", *SMALL_CHECK, "--seed", "-1"], "seed"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", *MODEL_FLAGS, "--eval-every", "-1"],
+     "eval_every"),
+])
+def test_negative_value_error_names_only_its_key(argv, key, corpus_dir, tmp_path, capsys):
+    # grad-check takes no eval_every, so its message must not name one
+    argv = [a.format(corpus=corpus_dir, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {key} must be non-negative, got -1\n"
+
+
 # every command's option strings: the flags made from config keys neither
 # gain nor lose one
 SURFACE = {

@@ -138,10 +138,13 @@ def test_checkpoint_written_once_per_period_and_at_the_end(corpus, tmp_path, mon
 def test_divergence_aborts_with_iteration_and_keeps_artifacts(corpus, tmp_path):
     from dmlseg.errors import NumericError
     tcfg = TrainConfig(iterations=50, batch_size=4, lr=1e8, seed=1, eval_every=1)
-    with pytest.raises(NumericError, match="iteration"):
+    ckpt = tmp_path / "run" / "checkpoint.dmls"
+    with pytest.raises(NumericError, match="iteration") as err:
         train(corpus, tiny_model_config(), tcfg, tmp_path / "run")
-    assert (tmp_path / "run" / "checkpoint.dmls").exists()  # last good one
-    assert (tmp_path / "run" / "loss.csv").exists()
+    assert f"at iteration 2; last good checkpoint retained at {ckpt} (iteration 1)" \
+        in str(err.value)
+    assert ckpt.exists()  # last good one
+    assert len((tmp_path / "run" / "loss.csv").read_text().splitlines()) == 1 + 2  # its rows
 
 
 def test_failed_loss_csv_write_keeps_previous_file(corpus, tmp_path, monkeypatch):
